@@ -27,7 +27,6 @@ class FrequencyResponse:
 
     omegas: np.ndarray
     H: np.ndarray  # shape (n_omega, p, m)
-    flagged: tuple[int, ...] = ()  # indices with near-singular resolvent
 
     def magnitude(self) -> np.ndarray:
         return np.abs(self.H)
@@ -46,13 +45,7 @@ def dc_gain(model: StateSpaceModel) -> np.ndarray:
     """Steady-state gain matrix D - C A^-1 B (just D for static models)."""
     if model.n_states == 0:
         return model.D.copy()
-    try:
-        X = np.linalg.solve(model.A, model.B)
-    except np.linalg.LinAlgError:
-        raise NumericalError("system has a pole at zero; DC gain undefined") from None
-    if np.linalg.cond(model.A) > RESOLVENT_CONDITION_LIMIT:
-        raise NumericalError("system has a pole at zero; DC gain undefined")
-    return model.D - model.C @ X
+    return model.D + model.C @ dc_gain_to_states(model)
 
 
 def dc_gain_to_states(model: StateSpaceModel) -> np.ndarray:
@@ -87,14 +80,9 @@ def freq_response(model: StateSpaceModel, omegas) -> FrequencyResponse:
     if np.any(omegas < 0):
         raise ConfigurationError("frequencies must be nonnegative")
     H = np.empty((len(omegas), model.n_outputs, model.n_inputs), dtype=complex)
-    flagged = []
     for k, w in enumerate(omegas):
-        if model.n_states:
-            M = 1j * w * np.eye(model.n_states) - model.A
-            if np.linalg.cond(M) > RESOLVENT_CONDITION_LIMIT:
-                flagged.append(k)
         H[k] = transfer_at(model, 1j * w)
-    return FrequencyResponse(omegas, H, tuple(flagged))
+    return FrequencyResponse(omegas, H)
 
 
 def log_grid(wmin: float, wmax: float, n: int | None = None) -> np.ndarray:

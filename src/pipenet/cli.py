@@ -30,8 +30,7 @@ def _precision() -> int:
     return max(1, p)
 
 
-def _fmt(x) -> str:
-    p = _precision()
+def _fmt(x, p: int) -> str:
     if isinstance(x, complex):
         return f"{x.real:.{p}g}{x.imag:+.{p}g}j"
     return f"{x:.{p}g}"
@@ -47,9 +46,10 @@ def _emit(lines, path=None):
 
 
 def _csv(header, rows):
+    p = _precision()
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell)
+        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell, p)
                               for cell in row))
     return lines
 
@@ -161,7 +161,7 @@ def cmd_mason(args) -> int:
     spec = netspec.load(args.file)
     stacked, conn = netspec.elaborate(spec)
     dev = analysis.mason_check(stacked, conn, _omega_grid(args))
-    print(f"max relative deviation = {_fmt(dev)}")
+    print(f"max relative deviation = {_fmt(dev, _precision())}")
     return 0 if dev <= MASON_EXIT_TOLERANCE else 2
 
 

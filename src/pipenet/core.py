@@ -146,10 +146,6 @@ class SignalLabel:
 Label = Union[SignalLabel, str]
 
 
-def _as_label_tuple(labels) -> tuple:
-    return tuple(labels)
-
-
 @dataclass(frozen=True)
 class StateSpaceModel:
     """Real LTI state-space model dx/dt = A x + B u, y = C x + D u.
@@ -175,9 +171,9 @@ class StateSpaceModel:
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "D", D)
-        object.__setattr__(self, "state_labels", _as_label_tuple(self.state_labels))
-        object.__setattr__(self, "input_labels", _as_label_tuple(self.input_labels))
-        object.__setattr__(self, "output_labels", _as_label_tuple(self.output_labels))
+        object.__setattr__(self, "state_labels", tuple(self.state_labels))
+        object.__setattr__(self, "input_labels", tuple(self.input_labels))
+        object.__setattr__(self, "output_labels", tuple(self.output_labels))
         n, m, p = A.shape[0], B.shape[1], C.shape[0]
         if A.shape != (n, n):
             raise ConfigurationError(f"A must be square, got {A.shape}")

@@ -30,8 +30,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .composites import (NOMINAL_RTOL, CompositeModel, make_branch, make_gain, make_joint,
-                         make_pipe, make_series)
+from .composites import (JUNCTIONS, NOMINAL_RTOL, CompositeModel, make_branch, make_gain,
+                         make_joint, make_pipe, make_series, port_ends)
 from .core import GasProperties, OperatingPoint, PipeParams, SignalLabel
 from .errors import ConfigurationError, ParseError
 from .friction import resolve_lambda
@@ -41,9 +41,6 @@ from .steady_state import isothermal_nominal
 _DEFAULT_CV = 1700.0
 
 _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
-_LEFT_PORTS = {"l", "l1", "l2"}
-_RIGHT_PORTS = {"r", "r1", "r2"}
 
 
 @dataclass(frozen=True)
@@ -173,7 +170,7 @@ def _parse_portref(tok: str, line: int) -> PortRef:
         raise ParseError(f"expected <elem>.<port>, got {tok!r}", line)
     elem = _parse_id(parts[0], line)
     port = parts[1]
-    if port not in _LEFT_PORTS | _RIGHT_PORTS:
+    if port[:1] not in ("l", "r"):
         raise ParseError(f"unknown port name {port!r}", line)
     return PortRef(elem, port)
 
@@ -295,7 +292,7 @@ def parse(text: str) -> NetworkSpec:
                 raise ParseError("link takes exactly two ports", lineno)
             a = _parse_portref(args[0], lineno)
             b = _parse_portref(args[1], lineno)
-            if a.port not in _RIGHT_PORTS or b.port not in _LEFT_PORTS:
+            if a.port[0] != "r" or b.port[0] != "l":
                 raise ParseError(
                     "incompatible flanges: link is <right port> <left port>", lineno)
             links.append((a, b, lineno))
@@ -329,8 +326,7 @@ def parse(text: str) -> NetworkSpec:
             raise ParseError(
                 f"pipe {ref.element!r} belongs to {consumed[ref.element]!r} "
                 f"and may not be referenced directly", lineno)
-        valid = _element_ports(decl)
-        if ref.port not in valid:
+        if ref.port not in _ends(decl):
             raise ParseError(
                 f"element {ref.element!r} has no port {ref.port!r}", lineno)
 
@@ -356,14 +352,6 @@ def parse(text: str) -> NetworkSpec:
                        links=tuple((a, b) for a, b, _ in links),
                        inputs=tuple((n, r) for n, r, _ in inputs),
                        outputs=tuple((n, v) for n, v, _ in outputs))
-
-
-def _element_ports(decl) -> tuple[str, ...]:
-    if isinstance(decl, JointDecl):
-        return ("l1", "l2", "r")
-    if isinstance(decl, BranchDecl):
-        return ("l", "r1", "r2")
-    return ("l", "r")
 
 
 def render(spec: NetworkSpec) -> str:
@@ -452,6 +440,10 @@ def _nominal(spec: NetworkSpec, pid: str) -> tuple[NominalDecl, bool]:
     return nom, False
 
 
+_KIND = {PipeDecl: "pipe", GainDecl: "gain", JointDecl: "joint", BranchDecl: "branch",
+         SeriesDecl: "series"}
+
+
 def _members(el) -> tuple[str, ...]:
     """Pipe ids inside one element, in the order its constructor takes them."""
     if isinstance(el, PipeDecl):
@@ -465,30 +457,9 @@ def _members(el) -> tuple[str, ...]:
     return ()
 
 
-def _port_end(el, port: str) -> tuple[str, str]:
-    """The (pipe or gain id, flange) behind one port of an element."""
-    if isinstance(el, JointDecl):
-        name = {"l1": el.feeds[0], "l2": el.feeds[1], "r": el.into}[port]
-    elif isinstance(el, BranchDecl):
-        name = {"l": el.from_, "r1": el.into[0], "r2": el.into[1]}[port]
-    elif isinstance(el, SeriesDecl):
-        name = el.pipes[0] if port == "l" else el.pipes[-1]
-    else:
-        name = el.name
-    return name, port[0]
-
-
-def _inner_joins(el) -> list[tuple[tuple[str, str], tuple[str, str]]]:
-    """Pairs of pipe ends that a composite holds at one pressure."""
-    if isinstance(el, JointDecl):
-        (a, b), c = el.feeds, el.into
-        return [((a, "r"), (b, "r")), ((b, "r"), (c, "l"))]
-    if isinstance(el, BranchDecl):
-        a, (b, c) = el.from_, el.into
-        return [((a, "r"), (b, "l")), ((a, "r"), (c, "l"))]
-    if isinstance(el, SeriesDecl):
-        return [((a, "r"), (b, "l")) for a, b in zip(el.pipes, el.pipes[1:])]
-    return []
+def _ends(el) -> dict[str, tuple[str, str]]:
+    """Port name -> (pipe or gain id, flange) of one element."""
+    return port_ends(_KIND[type(el)], _members(el) or (el.name,))
 
 
 def _group(ends, joins) -> dict:
@@ -560,7 +531,7 @@ def network_steady_state(spec: NetworkSpec) -> NetworkSteadyState:
 
     Costs one steady-state solve per pipe.
     """
-    by_name = {el.name: el for el in spec.elements}
+    ports = {el.name: _ends(el) for el in spec.elements}
     pipe_ids = [pid for el in spec.elements for pid in _members(el)]
     gains = [el for el in spec.elements if isinstance(el, GainDecl)]
     owner = {pid: el.name for el in spec.elements for pid in _members(el)}
@@ -568,10 +539,14 @@ def network_steady_state(spec: NetworkSpec) -> NetworkSteadyState:
     ends = [(name, flange) for name in owner for flange in "lr"]
 
     def end(ref: PortRef):
-        return _port_end(by_name[ref.element], ref.port)
+        return ports[ref.element][ref.port]
 
-    joins = [j for el in spec.elements for j in _inner_joins(el)]
-    joins += [(end(a), end(b)) for a, b in spec.links]
+    joins = [(end(a), end(b)) for a, b in spec.links]
+    for el in spec.elements:  # each junction of a composite holds its ends at one pressure
+        ids = _members(el)
+        for feeders, takers in JUNCTIONS[_KIND[type(el)]](len(ids)):
+            meet = [(ids[i], "r") for i in feeders] + [(ids[i], "l") for i in takers]
+            joins += [(meet[0], e) for e in meet[1:]]
     node = _group(ends, joins)
     flow_node = _group(ends, joins + [((g.name, "l"), (g.name, "r")) for g in gains])
 
@@ -620,7 +595,7 @@ def network_steady_state(spec: NetworkSpec) -> NetworkSteadyState:
                     unmet.append(UnmetConstraint(owner[name], str(SignalLabel(name, "r", "p")),
                                                  pressure[to], p_out))
 
-    fed = [end(ref)[0] for _, ref in spec.inputs if ref.port in _LEFT_PORTS]
+    fed = [end(ref)[0] for _, ref in spec.inputs if ref.port[0] == "l"]
     for pid in fed + pipe_ids:  # pressure inputs first, then inlets nothing reached
         if pid in declared and pid not in ops:
             spread(node[(pid, "l")], declared[pid].pl)

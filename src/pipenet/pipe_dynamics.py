@@ -219,16 +219,10 @@ def jacobian_3d(params: PipeParams, op: OperatingPoint, gas: GasProperties):
         + dfric_dTr
     )
 
-    # f_T bracket, with the Rz-only continuity factor on dq/dx
-    S_T = S_p  # identical when dq_dx = 0
+    # f_T bracket, with the Rz-only continuity factor on dq/dx; at dq_dx = 0
+    # its value and its T_r derivative equal S_p and dSp_dTr
     dST_dql = T_r * Rz / L
     dST_dqr = -T_r * Rz / L + dp_dx * Rz * T_r / p_r - dT_dx * (c_v + Rz) + dfric_dq
-    dST_dTr = (
-        -params.k_rad * np.pi * d_out
-        + dp_dx * Rz * q / p_r
-        - q * (c_v + Rz) / L
-        + dfric_dTr
-    )
 
     A = np.zeros((3, 3))
     B = np.zeros((3, 3))
@@ -254,9 +248,9 @@ def jacobian_3d(params: PipeParams, op: OperatingPoint, gas: GasProperties):
 
     dK2_dpr = -K2 / p_r
     dK2_dTr = Rz / (A_c * c_v * p_r)
-    A[2, 0] = K2 * dS_dpr_common + dK2_dpr * S_T
+    A[2, 0] = K2 * dS_dpr_common + dK2_dpr * S_p
     A[2, 1] = K2 * dST_dql
-    A[2, 2] = K2 * dST_dTr + dK2_dTr * S_T
+    A[2, 2] = K2 * dSp_dTr + dK2_dTr * S_p
     B[2, 0] = K2 * dS_dpl
     B[2, 1] = K2 * dST_dqr
     B[2, 2] = K2 * dS_dTl

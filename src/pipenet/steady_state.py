@@ -17,6 +17,8 @@ H_L = lam*L/(2 d g) * v|v|.
 
 from __future__ import annotations
 
+import math
+
 from .core import G_STD, GasProperties, OperatingPoint, PipeParams
 from .errors import DomainError, NumericalError
 
@@ -63,6 +65,17 @@ def _check_inputs(p_l_ss, T_l_ss, T_r_ss):
         raise DomainError("nominal temperatures must be strictly positive")
 
 
+def _relation(p_l_ss, T_l_ss, T_r_ss, params, gas):
+    """base = p_l^(T_l/T_r), friction coefficient coef and elevation exponent grav."""
+    _check_inputs(p_l_ss, T_l_ss, T_r_ss)
+    lam = params.require_lambda()
+    Rz = gas.R_s * gas.z_0
+    base = p_l_ss ** (T_l_ss / T_r_ss)
+    grav = G_STD * params.h / (Rz * T_r_ss)
+    coef = lam * params.L * Rz * T_r_ss / (2.0 * params.d * params.A_c**2)
+    return base, coef, grav
+
+
 def exact_nominal_pr(p_l_ss: float, q_ss: float, T_l_ss: float, T_r_ss: float,
                      params: PipeParams, gas: GasProperties) -> float:
     """Exit pressure from the exponential steady-state relation.
@@ -70,14 +83,7 @@ def exact_nominal_pr(p_l_ss: float, q_ss: float, T_l_ss: float, T_r_ss: float,
     p_r appears inside the exponential through v_r; the implicit relation
     is solved to relative residual 1e-12.
     """
-    _check_inputs(p_l_ss, T_l_ss, T_r_ss)
-    lam = params.require_lambda()
-    Rz = gas.R_s * gas.z_0
-    base = p_l_ss ** (T_l_ss / T_r_ss)
-    grav = G_STD * params.h / (Rz * T_r_ss)
-    coef = lam * params.L * Rz * T_r_ss / (2.0 * params.d * params.A_c**2)
-
-    import math
+    base, coef, grav = _relation(p_l_ss, T_l_ss, T_r_ss, params, gas)
 
     def update(p_r):
         return base * math.exp(-coef * q_ss * abs(q_ss) / p_r**2 - grav)
@@ -88,12 +94,7 @@ def exact_nominal_pr(p_l_ss: float, q_ss: float, T_l_ss: float, T_r_ss: float,
 def approx_nominal_pr(p_l_ss: float, q_ss: float, T_l_ss: float, T_r_ss: float,
                       params: PipeParams, gas: GasProperties) -> float:
     """First-order expansion of the exponential steady-state relation."""
-    _check_inputs(p_l_ss, T_l_ss, T_r_ss)
-    lam = params.require_lambda()
-    Rz = gas.R_s * gas.z_0
-    base = p_l_ss ** (T_l_ss / T_r_ss)
-    grav = G_STD * params.h / (Rz * T_r_ss)
-    coef = lam * params.L * Rz * T_r_ss / (2.0 * params.d * params.A_c**2)
+    base, coef, grav = _relation(p_l_ss, T_l_ss, T_r_ss, params, gas)
 
     def update(p_r):
         return base * (1.0 - coef * q_ss * abs(q_ss) / p_r**2 - grav)

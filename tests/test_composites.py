@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import pipenet as pn
-from pipenet import composites, pipe_dynamics, steady_state
+from pipenet import composites, interconnect, pipe_dynamics, steady_state
 from pipenet.errors import ConfigurationError
 
 from conftest import random_pipe
@@ -133,3 +133,58 @@ def test_composites_random_stability(gas):
         params, op = random_pipe(rng, gas)
         comp = composites.make_pipe(params, op, gas)
         assert np.linalg.eigvals(comp.model.A).real.max() < 0.0
+
+
+def _close_by_hand(pipes, ids, gas, feeds, externals):
+    """Close member pipes through F built by hand.
+
+    feeds maps an input label to the output labels summed into it; each
+    external input drives one input label, in order.
+    """
+    stacked = interconnect.stack([pipe_dynamics.linearize_2d(par, op, gas, mid)
+                                  for (par, op), mid in zip(pipes, ids)])
+    m = stacked.model
+    F = np.zeros((m.n_inputs, m.n_outputs))
+    G = np.zeros((m.n_inputs, len(externals)))
+    for dst, srcs in feeds.items():
+        for src in srcs:
+            F[m.input_index(dst), m.output_index(src)] = 1.0
+    for j, lab in enumerate(externals):
+        G[m.input_index(lab), j] = 1.0
+    return interconnect.close(stacked, interconnect.ConnectionMatrices(F, G), tuple(externals))
+
+
+def _assert_rel(X, Y, tol=1e-12):
+    assert X.shape == Y.shape
+    assert np.abs(X - Y).max(initial=0.0) <= tol * np.abs(Y).max(initial=0.0)
+
+
+@pytest.mark.parametrize("kind", ["series", "branch"])
+def test_node_rule_equals_interconnection(gas, kind):
+    # the composite is the paper's interconnection of its member pipes,
+    # with the states reordered; the branch's fan-out sums two flows into P0.r.q
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        pipes = [random_pipe(rng, gas) for _ in range(3)]
+        if kind == "series":
+            ids = ("A", "B", "C")
+            comp = composites.make_series(pipes, gas, member_ids=ids, check_nominal=False)
+            feeds = {"B.l.p": ["A.r.p"], "A.r.q": ["B.l.q"],
+                     "C.l.p": ["B.r.p"], "B.r.q": ["C.l.q"]}
+            externals = ["A.l.p", "C.r.q"]
+        else:
+            ids = ("P0", "P1", "P2")
+            comp = composites.make_branch(*pipes, gas, member_ids=ids, check_nominal=False)
+            feeds = {"P1.l.p": ["P0.r.p"], "P2.l.p": ["P0.r.p"],
+                     "P0.r.q": ["P1.l.q", "P2.l.q"]}
+            externals = ["P0.l.p", "P1.r.q", "P2.r.q"]
+        closed = _close_by_hand(pipes, ids, gas, feeds, externals)
+        m = comp.model
+        assert [str(s) for s in m.input_labels] == externals
+        perm = [closed.state_index(s) for s in m.state_labels]
+        rows = [closed.output_index(y) for y in m.output_labels]
+        assert sorted(perm) == list(range(closed.n_states))
+        _assert_rel(m.A, closed.A[np.ix_(perm, perm)])
+        _assert_rel(m.B, closed.B[perm])
+        _assert_rel(m.C, closed.C[np.ix_(rows, perm)])
+        _assert_rel(m.D, closed.D[rows])
