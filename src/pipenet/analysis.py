@@ -5,6 +5,11 @@ The closure of interconnect.close is algebraically identical to the
 signal-flow-graph solution y = (I - Q)^-1 P u with Q(s) = H(s) F and
 P(s) = H(s) G, H the stacked open-loop transfer function. mason_check
 verifies that identity numerically at sampled frequencies.
+
+freq_response is the path for grids: it factors the sparse resolvent
+i w I - A once per frequency (scipy's SuperLU), so its cost follows the
+nonzeros of A. transfer_at is the dense single-point evaluation that
+mason_check and the tests use as the reference.
 """
 
 from __future__ import annotations
@@ -66,22 +71,48 @@ def dc_gain_to_states(model: StateSpaceModel) -> np.ndarray:
     return X
 
 
+def _singular_resolvent(s: complex) -> NumericalError:
+    return NumericalError(f"s I - A is singular at s = {s}: the model has a pole there")
+
+
 def transfer_at(model: StateSpaceModel, s: complex) -> np.ndarray:
-    """Evaluate C (s I - A)^-1 B + D at one complex frequency."""
+    """Evaluate C (s I - A)^-1 B + D at one complex frequency (dense solve)."""
     if model.n_states == 0:
         return model.D.astype(complex)
     M = s * np.eye(model.n_states) - model.A
-    return model.C @ np.linalg.solve(M, model.B.astype(complex)) + model.D
+    try:
+        X = np.linalg.solve(M, model.B.astype(complex))
+    except np.linalg.LinAlgError:
+        raise _singular_resolvent(s) from None
+    return model.C @ X + model.D
 
 
 def freq_response(model: StateSpaceModel, omegas) -> FrequencyResponse:
-    """Frequency response over a grid of angular frequencies [rad/s]."""
+    """Frequency response over a grid of angular frequencies [rad/s].
+
+    One sparse LU of i w I - A per frequency, then one solve for all of B.
+    """
     omegas = np.asarray(omegas, dtype=float)
     if np.any(omegas < 0):
         raise ConfigurationError("frequencies must be nonnegative")
     H = np.empty((len(omegas), model.n_outputs, model.n_inputs), dtype=complex)
+    if model.n_states == 0:
+        H[:] = model.D
+        return FrequencyResponse(omegas, H)
+    from scipy import sparse  # deferred: import pipenet loads numpy only
+    from scipy.sparse.linalg import splu
+
+    A = sparse.csc_matrix(model.A)
+    eye = sparse.identity(model.n_states, dtype=complex, format="csc")
+    B = model.B.astype(complex)
     for k, w in enumerate(omegas):
-        H[k] = transfer_at(model, 1j * w)
+        try:
+            lu = splu(1j * w * eye - A)
+        except RuntimeError:  # SuperLU: "Factor is exactly singular"
+            raise _singular_resolvent(1j * w) from None
+        X = lu.solve(B)
+        # two real products; C @ X would copy C to complex at every frequency
+        H[k] = model.C @ X.real + 1j * (model.C @ X.imag) + model.D
     return FrequencyResponse(omegas, H)
 
 

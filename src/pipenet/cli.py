@@ -31,8 +31,6 @@ def _precision() -> int:
 
 
 def _fmt(x, p: int) -> str:
-    if isinstance(x, complex):
-        return f"{x.real:.{p}g}{x.imag:+.{p}g}j"
     return f"{x:.{p}g}"
 
 
@@ -45,12 +43,21 @@ def _emit(lines, path=None):
             fh.write(text)
 
 
-def _csv(header, rows):
-    p = _precision()
+def _csv(header, rows, labels=None):
+    """CSV lines: the header, then one line per row of a 2-D float array.
+
+    labels, if given, prefix each row with a text cell. Every number is
+    printed as by _fmt ("%.pg" and f"{x:.pg}" agree on all floats).
+    """
+    rows = np.asarray(rows, dtype=float)
+    cells = [f"%.{_precision()}g"] * rows.shape[1]
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell, p)
-                              for cell in row))
+    if labels is None:
+        fmt = ",".join(cells)
+        lines += [fmt % tuple(row) for row in rows.tolist()]
+    else:
+        fmt = ",".join(["%s"] + cells)
+        lines += [fmt % (lab, *row) for lab, row in zip(labels, rows.tolist())]
     return lines
 
 
@@ -77,9 +84,7 @@ def cmd_build(args) -> int:
                                     ("B", model.B, s_labels, u_labels),
                                     ("C", model.C, y_labels, s_labels),
                                     ("D", model.D, y_labels, u_labels)):
-            lines = _csv([""] + cols,
-                         [[r] + list(M[i]) for i, r in enumerate(rows)])
-            _emit(lines, f"{base}.{name}.csv")
+            _emit(_csv([""] + cols, M, rows), f"{base}.{name}.csv")
     return 0
 
 
@@ -89,20 +94,18 @@ def cmd_dcgain(args) -> int:
     if args.flows_only:
         # composite outputs hide interior flows; read them off the states
         G = analysis.dc_gain_to_states(model)
-        rows = [(str(lab), G[i]) for i, lab in enumerate(model.state_labels)
-                if lab.quantity == "q"]
+        rows = [i for i, lab in enumerate(model.state_labels) if lab.quantity == "q"]
+        G, labels = G[rows], [model.state_labels[i] for i in rows]
     else:
-        G = analysis.dc_gain(model)
-        rows = [(str(lab), G[i]) for i, lab in enumerate(model.output_labels)]
-    _emit(_csv([""] + u_labels, [[name] + list(vals) for name, vals in rows]),
-          args.output)
+        G, labels = analysis.dc_gain(model), model.output_labels
+    _emit(_csv([""] + u_labels, G, [str(lab) for lab in labels]), args.output)
     return 0
 
 
 def cmd_eig(args) -> int:
     spec, model = _load_closed(args.file)
-    eigs = sorted(analysis.eigenvalues(model), key=lambda z: (z.real, z.imag))
-    _emit(_csv(["re", "im"], [[z.real, z.imag] for z in eigs]), args.output)
+    eigs = np.array(sorted(analysis.eigenvalues(model), key=lambda z: (z.real, z.imag)))
+    _emit(_csv(["re", "im"], np.column_stack([eigs.real, eigs.imag])), args.output)
     return 0
 
 
@@ -118,14 +121,12 @@ def cmd_bode(args) -> int:
     for o, out_lab in enumerate(model.output_labels):
         for i, in_lab in enumerate(model.input_labels):
             header += [f"mag:{out_lab}<-{in_lab}", f"phase:{out_lab}<-{in_lab}"]
-    rows = []
-    for k, w in enumerate(omegas):
-        row = [w]
-        for o in range(model.n_outputs):
-            for i in range(model.n_inputs):
-                h = fr.H[k, o, i]
-                row += [abs(h), float(np.angle(h))]
-        rows.append(row)
+    # columns omega, then (magnitude, phase) per (output, input) pair
+    H = fr.H.reshape(len(omegas), -1)
+    rows = np.empty((len(omegas), 1 + 2 * H.shape[1]))
+    rows[:, 0] = omegas
+    rows[:, 1::2] = np.abs(H)
+    rows[:, 2::2] = np.angle(H)
     _emit(_csv(header, rows), args.output)
     return 0
 
@@ -152,8 +153,7 @@ def cmd_sim(args) -> int:
                     f"inputs file rows ({len(col)}) do not match the grid ({n_steps})")
     ts = simulate.simulate_lti(model, t, u)
     header = ["t"] + [str(s) for s in ts.labels]
-    rows = [[ts.t[k]] + list(ts.values[k]) for k in range(len(t))]
-    _emit(_csv(header, rows), args.output)
+    _emit(_csv(header, np.column_stack([ts.t, ts.values])), args.output)
     return 0
 
 
@@ -173,8 +173,7 @@ def cmd_sweep(args) -> int:
         margins = analysis.stability_margin_sweep(spec, args.element, ks)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
-    _emit(_csv(["k", "max_re"], [[k, m] for k, m in zip(ks, margins)]),
-          args.output)
+    _emit(_csv(["k", "max_re"], np.column_stack([ks, margins])), args.output)
     return 0
 
 

@@ -190,9 +190,12 @@ class StateSpaceModel:
         ):
             if len(labels) != count:
                 raise ConfigurationError(f"expected {count} {what} labels, got {len(labels)}")
-            rendered = [str(lab) for lab in labels]
-            if len(set(rendered)) != len(rendered):
+            # rendered label -> position; the *_index lookups read it
+            index = {str(lab): i for i, lab in enumerate(labels)}
+            if len(index) != len(labels):
+                rendered = [str(lab) for lab in labels]
                 raise ConfigurationError(f"duplicate {what} labels: {rendered}")
+            object.__setattr__(self, f"_{what}_index", index)
 
     @property
     def n_states(self) -> int:
@@ -207,21 +210,21 @@ class StateSpaceModel:
         return self.C.shape[0]
 
     def input_index(self, label) -> int:
-        return _index_of(self.input_labels, label, "input")
+        return _index_of(self._input_index, label, "input")
 
     def output_index(self, label) -> int:
-        return _index_of(self.output_labels, label, "output")
+        return _index_of(self._output_index, label, "output")
 
     def state_index(self, label) -> int:
-        return _index_of(self.state_labels, label, "state")
+        return _index_of(self._state_index, label, "state")
 
 
-def _index_of(labels, label, what) -> int:
+def _index_of(index: dict, label, what) -> int:
     key = str(label)
-    for i, lab in enumerate(labels):
-        if str(lab) == key:
-            return i
-    raise ConfigurationError(f"unknown {what} label {key!r}")
+    try:
+        return index[key]
+    except KeyError:
+        raise ConfigurationError(f"unknown {what} label {key!r}") from None
 
 
 def density(p: float, T: float, gas: GasProperties) -> float:

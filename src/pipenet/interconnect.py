@@ -9,6 +9,9 @@ the interconnection is then eliminated in closed form:
     B_cl = B [I + F (I - D F)^-1 D] G
     C_cl = (I - D F)^-1 C
     D_cl = (I - D F)^-1 D G
+
+close evaluates it with M = (I - D F)^-1 as C_cl = M C, D_cl = M (D G),
+A_cl = A + (B F) C_cl and B_cl = B G + (B F) D_cl.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ class StackedSystem:
 
 @dataclass(frozen=True)
 class ConnectionMatrices:
-    """Sparse 0/1 routing: w = F y + G u_ext.
+    """0/1 routing w = F y + G u_ext, held as dense arrays.
 
     Every row of [F G] contains exactly one 1: each component input is fed
     by exactly one component output or one external input.
@@ -137,13 +140,19 @@ def close(stacked: StackedSystem, conn: ConnectionMatrices,
     m = stacked.model
     F, G = conn.F, conn.G
     IDF = np.eye(m.n_outputs) - m.D @ F
-    if np.linalg.cond(IDF) > CONDITION_LIMIT:
-        raise NumericalError("algebraic loop ill-posed: I - D F is singular or ill-conditioned")
-    M = np.linalg.inv(IDF)
-    A_cl = m.A + m.B @ F @ M @ m.C
-    B_cl = m.B @ (np.eye(m.n_inputs) + F @ M @ m.D) @ G
+    ill_posed = NumericalError("algebraic loop ill-posed: I - D F is singular or ill-conditioned")
+    try:
+        M = np.linalg.inv(IDF)
+    except np.linalg.LinAlgError:
+        raise ill_posed from None
+    # ||X||_F ||X^-1||_F bounds cond_2(X) from above; "not <=" also rejects nan
+    if not np.linalg.norm(IDF) * np.linalg.norm(M) <= CONDITION_LIMIT:
+        raise ill_posed
+    BF = m.B @ F
     C_cl = M @ m.C
-    D_cl = M @ m.D @ G
+    D_cl = M @ (m.D @ G)
+    A_cl = m.A + BF @ C_cl
+    B_cl = m.B @ G + BF @ D_cl
     if external_labels is None:
         external_labels = tuple(f"u{j}" for j in range(G.shape[1]))
     return StateSpaceModel(A_cl, B_cl, C_cl, D_cl,

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core import GasProperties, PipeParams, StateSpaceModel
 from .errors import ConfigurationError, NumericalError
@@ -47,6 +46,8 @@ class TimeSeries:
 
 def zoh_discretize(model: StateSpaceModel, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact ZOH discretization (Ad, Bd) of (A, B) at step dt."""
+    from scipy.linalg import expm  # deferred: import pipenet loads numpy only
+
     if dt <= 0:
         raise ConfigurationError("time step must be positive")
     n, m = model.n_states, model.n_inputs

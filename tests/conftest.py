@@ -78,3 +78,75 @@ def random_pipe(rng, gas):
     q = float(rng.uniform(0.5, 30.0) * params.d**2)
     op_ = steady_state.isothermal_nominal(p_l, q, gas.T_0, params, gas)
     return params, op_
+
+
+def random_network_text(rng):
+    """A small well-posed network description, random topology and data."""
+    def pipe_line(name):
+        L = rng.uniform(5.0, 2000.0)
+        d = rng.uniform(0.1, 1.0)
+        lam = rng.uniform(0.005, 0.03)
+        return f"pipe {name} L={L:.6g} d={d:.6g} lambda={lam:.6g}"
+
+    lines = ["gas Rs=518.28 z0=0.95 T0=300"]
+    if rng.random() < 0.5:
+        # open chain of pipes, gains and series runs
+        kinds = rng.choice(["pipe", "gain", "series"], size=rng.integers(1, 6))
+        names = []
+        for i, kind in enumerate(kinds):
+            name = f"E{i}"
+            if kind == "pipe":
+                lines.append(pipe_line(name))
+            elif kind == "gain":
+                lines.append(f"gain {name} k={rng.uniform(0.5, 5.0):.4g}")
+            else:
+                lines.append(pipe_line(f"{name}a"))
+                lines.append(pipe_line(f"{name}b"))
+                lines.append(f"series {name} pipes=[{name}a,{name}b]")
+            names.append(name)
+        for a, b in zip(names, names[1:]):
+            lines.append(f"link {a}.r {b}.l")
+        lines.append(f"input up = {names[0]}.l")
+        lines.append(f"input uq = {names[-1]}.r")
+    else:
+        # feedback loop: joint -> gain -> branch, one leg fed back
+        for name in ("P1", "P2", "P3", "P5", "P6", "P7"):
+            lines.append(pipe_line(name))
+        lines.append("joint J feeds=[P1,P2] into=P3")
+        lines.append(f"gain V k={rng.uniform(0.5, 5.0):.4g}")
+        lines.append("branch B from=P5 into=[P6,P7]")
+        lines.append("link J.r V.l")
+        lines.append("link V.r B.l")
+        lines.append("link B.r2 J.l2")
+        lines.append("input fill = J.l1")
+        lines.append("input draw = B.r1")
+    lines.append(f"nominal * pl={rng.uniform(5e5, 80e5):.6g} "
+                 f"q={rng.uniform(0.5, 5.0):.6g}")
+    return "\n".join(lines) + "\n"
+
+
+def chain_text(n_pipes, rng):
+    """Pipes P0..P{n-1} in a row, with a compressor after every 20th pipe."""
+    lines = ["gas Rs=518.28 z0=0.95 T0=300"]
+    prev = None
+    for i in range(n_pipes):
+        lines.append(f"pipe P{i} L={rng.uniform(900.0, 1100.0):.6g} d=0.7 "
+                     "eps=4.57e-5 Re=1.168e8")
+        if prev is not None:
+            lines.append(f"link {prev}.r P{i}.l")
+        prev = f"P{i}"
+        if (i + 1) % 20 == 0 and i + 1 < n_pipes:
+            lines.append(f"gain K{i} k={rng.uniform(1.05, 1.25):.4g}")
+            lines.append(f"link {prev}.r K{i}.l")
+            prev = f"K{i}"
+    lines += ["nominal * pl=50e5 q=30", "input supply = P0.l",
+              f"input draw = P{n_pipes - 1}.r"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="session")
+def oracle_specs(loop_spec):
+    """The loop, criterion 5's 50 random networks and a 200-pipe chain."""
+    rng = np.random.default_rng(2026)
+    specs = [loop_spec] + [pn.parse(random_network_text(rng)) for _ in range(50)]
+    return specs + [pn.parse(chain_text(200, np.random.default_rng(7)))]

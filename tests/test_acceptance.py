@@ -11,7 +11,7 @@ import pytest
 import pipenet as pn
 from pipenet import analysis, composites, netspec, pipe_dynamics, simulate, steady_state
 
-from conftest import LOOP_TEXT, random_pipe
+from conftest import LOOP_TEXT, random_network_text, random_pipe
 
 # expected steady-state flow gains of the loop network, columns
 # (fill pressure, distribution draw, vent draw), rows q_i,l for i = 1..10
@@ -85,57 +85,12 @@ def test_criterion_04_pipe_analytic_checks(gas, report):
     report(4, "pipe eigenvalues and alpha*beta closed forms (100 random sets)", ok)
 
 
-def _random_network_text(rng):
-    """A small well-posed network description, random topology and data."""
-    def pipe_line(name):
-        L = rng.uniform(5.0, 2000.0)
-        d = rng.uniform(0.1, 1.0)
-        lam = rng.uniform(0.005, 0.03)
-        return f"pipe {name} L={L:.6g} d={d:.6g} lambda={lam:.6g}"
-
-    lines = ["gas Rs=518.28 z0=0.95 T0=300"]
-    if rng.random() < 0.5:
-        # open chain of pipes, gains and series runs
-        kinds = rng.choice(["pipe", "gain", "series"], size=rng.integers(1, 6))
-        names = []
-        for i, kind in enumerate(kinds):
-            name = f"E{i}"
-            if kind == "pipe":
-                lines.append(pipe_line(name))
-            elif kind == "gain":
-                lines.append(f"gain {name} k={rng.uniform(0.5, 5.0):.4g}")
-            else:
-                lines.append(pipe_line(f"{name}a"))
-                lines.append(pipe_line(f"{name}b"))
-                lines.append(f"series {name} pipes=[{name}a,{name}b]")
-            names.append(name)
-        for a, b in zip(names, names[1:]):
-            lines.append(f"link {a}.r {b}.l")
-        lines.append(f"input up = {names[0]}.l")
-        lines.append(f"input uq = {names[-1]}.r")
-    else:
-        # feedback loop: joint -> gain -> branch, one leg fed back
-        for name in ("P1", "P2", "P3", "P5", "P6", "P7"):
-            lines.append(pipe_line(name))
-        lines.append("joint J feeds=[P1,P2] into=P3")
-        lines.append(f"gain V k={rng.uniform(0.5, 5.0):.4g}")
-        lines.append("branch B from=P5 into=[P6,P7]")
-        lines.append("link J.r V.l")
-        lines.append("link V.r B.l")
-        lines.append("link B.r2 J.l2")
-        lines.append("input fill = J.l1")
-        lines.append("input draw = B.r1")
-    lines.append(f"nominal * pl={rng.uniform(5e5, 80e5):.6g} "
-                 f"q={rng.uniform(0.5, 5.0):.6g}")
-    return "\n".join(lines) + "\n"
-
-
 def test_criterion_05_mason_equivalence(loop_spec, report):
     grid = analysis.log_grid(1e-3, 1e3, 20)
     devs = [analysis.mason_check(*netspec.elaborate(loop_spec), grid)]
     rng = np.random.default_rng(2026)
     for _ in range(50):
-        spec = netspec.parse(_random_network_text(rng))
+        spec = netspec.parse(random_network_text(rng))
         devs.append(analysis.mason_check(*netspec.elaborate(spec), grid))
     worst = max(devs)
     report(5, "closed model equals signal-flow-graph solution (51 networks)",

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -113,3 +117,37 @@ def test_log_grid_default_density():
     g = analysis.log_grid(1.0, 100.0)
     assert len(g) == 400
     assert g[0] == pytest.approx(1.0) and g[-1] == pytest.approx(100.0)
+
+
+def test_freq_response_matches_dense_reference(oracle_specs):
+    # sparse LU path against the dense transfer_at, within backward-stable error
+    grid = analysis.log_grid(1e-3, 1e3, 20)
+    eps = np.finfo(float).eps
+    for spec in oracle_specs:
+        m = pn.build_closed(spec)
+        fr = analysis.freq_response(m, grid)
+        if m.n_states == 0:  # a lone gain: H = D at every frequency
+            assert np.array_equal(fr.H, np.broadcast_to(m.D, fr.H.shape))
+            continue
+        for k, w in enumerate(grid):
+            H = analysis.transfer_at(m, 1j * w)
+            cond = np.linalg.cond(1j * w * np.eye(m.n_states) - m.A)
+            assert np.linalg.norm(fr.H[k] - H) <= 10 * cond * eps * np.linalg.norm(H)
+
+
+def test_singular_resolvent_raises_numerical_error():
+    m = StateSpaceModel(np.zeros((1, 1)), np.ones((1, 1)), np.ones((1, 1)),
+                        np.zeros((1, 1)), ("x",), ("u",), ("y",))
+    with pytest.raises(NumericalError, match="singular"):
+        analysis.transfer_at(m, 0)
+    with pytest.raises(NumericalError, match="singular"):
+        analysis.freq_response(m, [1.0, 0.0])
+
+
+def test_import_loads_numpy_only():
+    # scipy is imported by the first Bode or simulation, not by import pipenet
+    src = os.path.dirname(os.path.dirname(pn.__file__))
+    code = "import sys, pipenet; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.strip() == "[]"

@@ -123,3 +123,52 @@ def test_select_outputs(two_pipes):
     sel = interconnect.select_outputs(stacked.model, ["B.l.q", "A.r.p"])
     assert [str(s) for s in sel.output_labels] == ["B.l.q", "A.r.p"]
     assert sel.C.shape == (2, 4)
+
+
+def _explicit_close(stacked, conn):
+    """The interconnection formula of the module docstring, term by term."""
+    m = stacked.model
+    F, G = conn.F, conn.G
+    M = np.linalg.inv(np.eye(m.n_outputs) - m.D @ F)
+    return (m.A + m.B @ F @ M @ m.C,
+            m.B @ (np.eye(m.n_inputs) + F @ M @ m.D) @ G,
+            M @ m.C,
+            M @ m.D @ G)
+
+
+def test_close_matches_explicit_formula(oracle_specs):
+    for spec in oracle_specs:
+        stacked, conn = pn.elaborate(spec)
+        closed = interconnect.close(stacked, conn)
+        assert closed.state_labels == stacked.model.state_labels
+        assert closed.output_labels == stacked.model.output_labels
+        for got, ref in zip((closed.A, closed.B, closed.C, closed.D),
+                            _explicit_close(stacked, conn)):
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def _static_loop(a, b):
+    # one static element y = D w, every output fed back to its input: I - D F = [[1, -a], [-b, 1]]
+    D = np.array([[0.0, a], [b, 0.0]])
+    model = pn.StateSpaceModel(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)), D,
+                               (), ("w1", "w2"), ("y1", "y2"))
+    return (interconnect.StackedSystem(model, ()),
+            interconnect.ConnectionMatrices(np.eye(2), np.zeros((2, 0))))
+
+
+def test_static_loop_condition_threshold():
+    with pytest.raises(pn.NumericalError, match="algebraic loop"):
+        interconnect.close(*_static_loop(1.0, 1.0 + 1e-14))  # cond ~ 4e14
+    closed = interconnect.close(*_static_loop(1.0, 1.0 + 1e-9))  # cond ~ 4e9
+    assert closed.D.shape == (2, 0)
+
+
+def test_label_lookup_errors(two_pipes):
+    a, b = two_pipes
+    stacked = interconnect.stack([a.model, b.model])
+    with pytest.raises(ConfigurationError, match="unknown output label 'C.r.p'"):
+        interconnect.select_outputs(stacked.model, ["A.r.p", "C.r.p"])
+    with pytest.raises(ConfigurationError, match="unknown input label"):
+        stacked.model.input_index("A.r.p")
+    with pytest.raises(ConfigurationError, match="duplicate state labels"):
+        interconnect.stack([a.model, a.model])
