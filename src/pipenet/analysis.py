@@ -1,15 +1,22 @@
 """Eigenvalue, DC-gain and frequency-response analysis, plus the
 signal-flow-graph equivalence oracle.
 
-The closure of interconnect.close is algebraically identical to the
-signal-flow-graph solution y = (I - Q)^-1 P u with Q(s) = H(s) F and
-P(s) = H(s) G, H the stacked open-loop transfer function. mason_check
-verifies that identity numerically at sampled frequencies.
+The closure of interconnect.close (the oracle path) is algebraically
+identical to the signal-flow-graph solution y = (I - Q)^-1 P u with
+Q(s) = H(s) F and P(s) = H(s) G, H the stacked open-loop transfer
+function. mason_check verifies that identity numerically at sampled
+frequencies, for close's model or for a given closed model such as the
+one netspec.build_closed assembles (the build path).
 
 freq_response is the path for grids: it factors the sparse resolvent
 i w I - A once per frequency (scipy's SuperLU), so its cost follows the
 nonzeros of A. transfer_at is the dense single-point evaluation that
 mason_check and the tests use as the reference.
+
+Singularity tests use one dense LU (_factor): a matrix is rejected on an
+exactly zero pivot or when LAPACK's 1-norm estimate of its reciprocal
+condition number is below 1/RESOLVENT_CONDITION_LIMIT; the same LU then
+solves.
 """
 
 from __future__ import annotations
@@ -58,17 +65,37 @@ def dc_gain_to_states(model: StateSpaceModel) -> np.ndarray:
 
     Composite elements expose only their boundary outputs; interior flows
     (e.g. every pipe's q_l in a closed network) remain visible as states,
-    so flow tables are read off here.
+    so flow tables are read off here. A near-singular A (_factor) is
+    reported as a pole at zero.
     """
     if model.n_states == 0:
         raise ConfigurationError("model has no states")
-    try:
-        X = -np.linalg.solve(model.A, model.B)
-    except np.linalg.LinAlgError:
-        raise NumericalError("system has a pole at zero; DC gain undefined") from None
-    if np.linalg.cond(model.A) > RESOLVENT_CONDITION_LIMIT:
-        raise NumericalError("system has a pole at zero; DC gain undefined")
-    return X
+    from scipy.linalg import lu_solve  # deferred: import pipenet loads numpy only
+
+    lu = _factor(model.A, NumericalError("system has a pole at zero; DC gain undefined"))
+    return -lu_solve(lu, model.B, check_finite=False)
+
+
+def _factor(M: np.ndarray, error: NumericalError):
+    """LU factors of M (scipy.linalg.lu_factor), or raise error if M is near singular.
+
+    Near singular: an exactly zero pivot, or a reciprocal 1-norm condition
+    number, estimated by LAPACK ?gecon from the same LU, below
+    1/RESOLVENT_CONDITION_LIMIT (nan included).
+    """
+    from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", LinAlgWarning)  # lu_factor warns on a zero pivot
+        try:
+            lu, piv = lu_factor(M, check_finite=False)
+        except LinAlgWarning:
+            raise error from None
+    gecon, = get_lapack_funcs(("gecon",), (lu,))
+    rcond, _ = gecon(lu, np.linalg.norm(M, 1))
+    if not rcond >= 1.0 / RESOLVENT_CONDITION_LIMIT:
+        raise error
+    return lu, piv
 
 
 def _singular_resolvent(s: complex) -> NumericalError:
@@ -125,24 +152,28 @@ def log_grid(wmin: float, wmax: float, n: int | None = None) -> np.ndarray:
     return np.logspace(np.log10(wmin), np.log10(wmax), n)
 
 
-def mason_check(stacked: StackedSystem, conn: ConnectionMatrices, omegas) -> float:
-    """Max relative deviation between closed-form and SFG transfer functions.
+def mason_check(stacked: StackedSystem, conn: ConnectionMatrices, omegas,
+                closed: StateSpaceModel | None = None) -> float:
+    """Max relative deviation between a closed model and the SFG transfer functions.
 
     At each frequency compares H_closed(iw) against (I - Q)^-1 P with
     Q = H(iw) F, P = H(iw) G evaluated on the open stacked system;
     returns max over the grid of ||H_closed - H_sfg|| / (1 + ||H_sfg||).
+    closed defaults to close(stacked, conn); its outputs and inputs must
+    be in the order of the stacked outputs and the columns of G.
     """
-    closed = close(stacked, conn)
+    from scipy.linalg import lu_solve  # deferred: import pipenet loads numpy only
+
+    if closed is None:
+        closed = close(stacked, conn)
     open_model = stacked.model
     worst = 0.0
     for w in np.asarray(omegas, dtype=float):
         H_open = transfer_at(open_model, 1j * w)
         Q = H_open @ conn.F
         P = H_open @ conn.G
-        IQ = np.eye(Q.shape[0]) - Q
-        if np.linalg.cond(IQ) > RESOLVENT_CONDITION_LIMIT:
-            raise NumericalError(f"singular I - Q at omega = {w}")
-        H_sfg = np.linalg.solve(IQ, P)
+        lu = _factor(np.eye(Q.shape[0]) - Q, NumericalError(f"singular I - Q at omega = {w}"))
+        H_sfg = lu_solve(lu, P, check_finite=False)
         H_cl = transfer_at(closed, 1j * w)
         dev = np.linalg.norm(H_cl - H_sfg) / (1.0 + np.linalg.norm(H_sfg))
         worst = max(worst, dev)

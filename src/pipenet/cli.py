@@ -160,7 +160,7 @@ def cmd_sim(args) -> int:
 def cmd_mason(args) -> int:
     spec = netspec.load(args.file)
     stacked, conn = netspec.elaborate(spec)
-    dev = analysis.mason_check(stacked, conn, _omega_grid(args))
+    dev = analysis.mason_check(stacked, conn, _omega_grid(args), netspec.build_closed(spec))
     print(f"max relative deviation = {_fmt(dev, _precision())}")
     return 0 if dev <= MASON_EXIT_TOLERANCE else 2
 

@@ -191,11 +191,7 @@ class StateSpaceModel:
             if len(labels) != count:
                 raise ConfigurationError(f"expected {count} {what} labels, got {len(labels)}")
             # rendered label -> position; the *_index lookups read it
-            index = {str(lab): i for i, lab in enumerate(labels)}
-            if len(index) != len(labels):
-                rendered = [str(lab) for lab in labels]
-                raise ConfigurationError(f"duplicate {what} labels: {rendered}")
-            object.__setattr__(self, f"_{what}_index", index)
+            object.__setattr__(self, f"_{what}_index", label_index(labels, what))
 
     @property
     def n_states(self) -> int:
@@ -217,6 +213,15 @@ class StateSpaceModel:
 
     def state_index(self, label) -> int:
         return _index_of(self._state_index, label, "state")
+
+
+def label_index(labels, what: str) -> dict:
+    """Rendered label -> position; ConfigurationError if two labels render alike."""
+    index = {str(lab): i for i, lab in enumerate(labels)}
+    if len(index) != len(labels):
+        rendered = [str(lab) for lab in labels]
+        raise ConfigurationError(f"duplicate {what} labels: {rendered}")
+    return index
 
 
 def _index_of(index: dict, label, what) -> int:

@@ -35,7 +35,10 @@ from .composites import (JUNCTIONS, NOMINAL_RTOL, CompositeModel, make_branch, m
 from .core import GasProperties, OperatingPoint, PipeParams, SignalLabel
 from .errors import ConfigurationError, ParseError
 from .friction import resolve_lambda
-from .interconnect import ConnectionMatrices, StackedSystem, build_FG, close, stack
+# close stays importable here although nothing here calls it: perfbench/tracer.py wraps
+# netspec.close, netspec.stack and netspec.build_FG by name
+from .interconnect import (ConnectionMatrices, StackedSystem, assemble, build_FG,  # noqa: F401
+                           close, stack)
 from .steady_state import isothermal_nominal
 
 _DEFAULT_CV = 1700.0
@@ -642,15 +645,10 @@ def build_elements(spec: NetworkSpec,
     return out
 
 
-def elaborate(spec: NetworkSpec, steady: NetworkSteadyState | None = None):
-    """Build the stacked open-loop system and its connection matrices.
-
-    steady is passed on to build_elements.
-    """
-    composites = build_elements(spec, steady)
+def _wiring(spec: NetworkSpec, composites: list[CompositeModel]):
+    """Port pairs of the links and (name, port) of the external inputs."""
     by_name = {el.name: comp
                for el, comp in zip(spec.elements, composites)}
-    stacked = stack([c.model for c in composites])
 
     def port(ref: PortRef):
         comp = by_name.get(ref.element)
@@ -664,17 +662,31 @@ def elaborate(spec: NetworkSpec, steady: NetworkSteadyState | None = None):
 
     link_ports = [(port(a), port(b)) for a, b in spec.links]
     external_ports = [(name, port(ref)) for name, ref in spec.inputs]
-    conn = build_FG(stacked, link_ports, external_ports)
+    return link_ports, external_ports
+
+
+def elaborate(spec: NetworkSpec, steady: NetworkSteadyState | None = None):
+    """Build the stacked open-loop system and its connection matrices.
+
+    This is the oracle path (interconnect.close, analysis.mason_check);
+    build_closed does not use it. steady is passed on to build_elements.
+    """
+    composites = build_elements(spec, steady)
+    stacked = stack([c.model for c in composites])
+    conn = build_FG(stacked, *_wiring(spec, composites))
     return stacked, conn
 
 
 def build_closed(spec: NetworkSpec, steady: NetworkSteadyState | None = None):
-    """Elaborate and close the network into one labeled LTI model.
+    """Build the element models and close them along their links into one labeled LTI model.
 
-    steady is passed on to build_elements.
+    interconnect.assemble does the closing; the model equals
+    close(*elaborate(spec, steady)) with the inputs named. steady is passed
+    on to build_elements.
     """
-    stacked, conn = elaborate(spec, steady)
-    return close(stacked, conn, tuple(name for name, _ in spec.inputs))
+    composites = build_elements(spec, steady)
+    return assemble([c.model for c in composites], *_wiring(spec, composites),
+                    tuple(name for name, _ in spec.inputs))
 
 
 def override_gain(spec: NetworkSpec, element_id: str, k: float) -> NetworkSpec:

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import pipenet as pn
-from pipenet import composites, interconnect, steady_state
+from pipenet import analysis, composites, interconnect, netspec, steady_state
 from pipenet.errors import ConfigurationError
 
 from conftest import random_pipe
@@ -172,3 +177,105 @@ def test_label_lookup_errors(two_pipes):
         stacked.model.input_index("A.r.p")
     with pytest.raises(ConfigurationError, match="duplicate state labels"):
         interconnect.stack([a.model, a.model])
+
+
+def test_build_closed_matches_close(oracle_specs):
+    # the build path (assemble) against the oracle path, by default and gain-aware
+    for spec in oracle_specs:
+        for steady in (None, pn.network_steady_state(spec)):
+            got = pn.build_closed(spec, steady)
+            ref = interconnect.close(*pn.elaborate(spec, steady),
+                                     tuple(name for name, _ in spec.inputs))
+            assert got.state_labels == ref.state_labels
+            assert got.input_labels == ref.input_labels
+            assert got.output_labels == ref.output_labels
+            for a, b in zip((got.A, got.B, got.C, got.D), (ref.A, ref.B, ref.C, ref.D)):
+                assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_mason_check_takes_the_build_path_model(loop_spec):
+    stacked, conn = pn.elaborate(loop_spec)
+    omegas = analysis.log_grid(1e-3, 1e3, 7)
+    model = pn.build_closed(loop_spec)
+    assert analysis.mason_check(stacked, conn, omegas, model) < 1e-8
+    skewed = replace(model, A=model.A * (1.0 + 1e-6))
+    assert analysis.mason_check(stacked, conn, omegas, skewed) > 1e-8
+
+
+GAIN_RING_TEXT = """\
+gas Rs=518.28 z0=0.95 T0=300
+pipe P L=10 d=0.7 lambda=0.01
+gain G1 k=2
+gain G2 k=3
+nominal * pl=25e5 q=21
+link G1.r G2.l
+link G2.r G1.l
+input up = P.l
+input uq = P.r
+"""
+
+
+def test_gain_ring_is_an_algebraic_loop():
+    # the pressures around the ring gain 6, but the flows pass it with gain 1
+    spec = pn.parse(GAIN_RING_TEXT)
+    with pytest.raises(pn.NumericalError, match="algebraic loop"):
+        pn.build_closed(spec)
+    with pytest.raises(pn.NumericalError, match="algebraic loop"):
+        interconnect.close(*pn.elaborate(spec))
+
+
+def test_ill_conditioned_gain_chain_is_rejected_like_close():
+    # two gains of 1e7 in a row: ||I - D F||_F ||(I - D F)^-1||_F ~ 1e21
+    spec = pn.parse("""\
+gas Rs=518.28 z0=0.95 T0=300
+pipe P L=10 d=0.7 lambda=0.01
+gain G1 k=1e7
+gain G2 k=1e7
+nominal * pl=25e5 q=21
+link P.r G1.l
+link G1.r G2.l
+input up = P.l
+input uq = G2.r
+""")
+    with pytest.raises(pn.NumericalError, match="algebraic loop"):
+        pn.build_closed(spec)
+    with pytest.raises(pn.NumericalError, match="algebraic loop"):
+        interconnect.close(*pn.elaborate(spec))
+
+
+TWO_PIPES_TEXT = """\
+gas Rs=518.28 z0=0.95 T0=300
+pipe A L=10 d=0.7 lambda=0.01
+pipe B L=10 d=0.7 lambda=0.01
+nominal * pl=25e5 q=21
+link A.r B.l
+input up = A.l
+input uq = B.r
+"""
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda s: replace(s, links=((netspec.PortRef("B", "l"), netspec.PortRef("A", "r")),)),
+     "incompatible flanges"),
+    (lambda s: replace(s, inputs=s.inputs + (("extra", netspec.PortRef("B", "l")),)),
+     "conflicting drivers"),
+    (lambda s: replace(s, inputs=s.inputs[:1]), "unconnected component input"),
+])
+def test_build_closed_wiring_errors_match_build_fg(edit, message):
+    spec = edit(pn.parse(TWO_PIPES_TEXT))
+    with pytest.raises(ConfigurationError, match=message) as fast:
+        pn.build_closed(spec)
+    with pytest.raises(ConfigurationError) as oracle:
+        pn.elaborate(spec)
+    assert str(fast.value) == str(oracle.value)
+
+
+def test_build_closed_loads_numpy_only():
+    # keeps the loop sweep free of scipy's import and memory
+    src = os.path.dirname(os.path.dirname(pn.__file__))
+    demo = os.path.join(os.path.dirname(__file__), "..", "demos", "loop.pipenet")
+    code = ("import sys, pipenet; pipenet.build_closed(pipenet.load(sys.argv[1])); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code, demo], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.strip() == "[]"
