@@ -13,9 +13,9 @@ from .errors import (ConfigurationError, DomainError, NominalWarning,
 from .friction import haaland_lambda, resolve_lambda
 from .interconnect import (ConnectionMatrices, StackedSystem, build_FG, close,
                            select_outputs, stack)
-from .netspec import (NetworkSpec, NetworkSteadyState, UnmetConstraint,
-                      build_closed, elaborate, load, network_steady_state,
-                      parse, render)
+from .netspec import (CompiledNetwork, NetworkSpec, NetworkSteadyState,
+                      UnmetConstraint, build_closed, elaborate,
+                      load, network_steady_state, parse, render)
 from .pipe_dynamics import (finite_difference_jacobian_3d, iso_coefficients,
                             jacobian_3d, linearize_2d, linearize_3d, rhs_2d,
                             rhs_3d)

@@ -183,21 +183,22 @@ def mason_check(stacked: StackedSystem, conn: ConnectionMatrices, omegas,
 def stability_margin_sweep(spec, gain_element_id: str, k_values) -> np.ndarray:
     """Max real eigenvalue of the closed network as one gain is swept.
 
-    Rebuilds and closes the network description for each k in k_values,
-    linearizing every pipe at the gain-aware operating point of
-    netspec.network_steady_state. The constraints those points leave
-    unmet (a ring whose gains admit no steady state, say) are reported
-    in one NominalWarning per sweep.
+    Compiles the network description once (netspec.CompiledNetwork) and
+    fills it for each k in k_values: every pipe is linearized at the
+    gain-aware operating point of netspec.network_steady_state, then the
+    model is refilled. The constraints those points leave unmet (a ring
+    whose gains admit no steady state, say) are reported in one
+    NominalWarning per sweep.
     """
     from . import netspec  # deferred: netspec builds on this module's siblings
 
+    net = netspec.CompiledNetwork(spec)
     out = np.empty(len(k_values))
     unmet = []  # (k, first unmet constraint) for each step that has one
     for i, k in enumerate(k_values):
-        varied = netspec.override_gain(spec, gain_element_id, float(k))
-        steady = netspec.network_steady_state(varied)
-        model = netspec.build_closed(varied, steady)
-        out[i] = float(np.max(eigenvalues(model).real))
+        gains = net.gains_with(gain_element_id, float(k))
+        steady = net.steady_state(gains)
+        out[i] = float(np.max(eigenvalues(net.model(steady.ops, gains)).real))
         if steady.unmet:
             unmet.append((float(k), steady.unmet[0]))
     if unmet:

@@ -1,11 +1,12 @@
-"""Catalog of network elements: pipes, joints, branches, series runs, gains.
+"""Catalog of network elements, and the node rule that assembles them.
 
-Every composite is assembled by one node rule (the nodal formulation of
-Osiadacz, Simulation and Analysis of Gas Networks, 1987); the kinds differ
-only in their junction lists, JUNCTIONS. A junction joins the right ends
-of its feeder pipes and the left ends of its taker pipes at one pressure,
-which absorbs the index-1 algebraic interconnection constraints into a
-single unconstrained LTI model.
+Every model, of one element or of a whole network, is assembled by one
+node rule (the nodal formulation of Osiadacz, Simulation and Analysis of
+Gas Networks, 1987); the element kinds differ only in their junction
+lists, JUNCTIONS. A junction joins the right ends of its feeder pipes and
+the left ends of its taker pipes at one pressure, which absorbs the
+index-1 algebraic interconnection constraints into a single unconstrained
+LTI model.
 
 - Each member pipe gives a flow state q_l, with row
   beta_pr*p(right node) + beta_pl*p(left node) + gamma*q_l. A left node is
@@ -16,11 +17,20 @@ single unconstrained LTI model.
   input on a boundary end. alpha is the feeder's own alpha, or for two
   feeders their parallel combination alpha_1*alpha_2/(alpha_1+alpha_2)
   (the junction capacitances 1/alpha add).
+- A gain has no state: p_r = k p_l and q_l = q_r.
 
 States are the pressure nodes in member order, then the flows. Inputs are
 the boundary p_l, then the boundary q_r; outputs the boundary p_r, then
 the boundary q_l. Ports are named 'l'/'r', or 'l1','l2'/'r1','r2' when a
 side has two boundary ends (port_ends).
+
+NodeRule runs the rule over elements closed along their links: a linked
+boundary input is fed by another element's output, so its coefficient
+lands on that output's state (a link's node pressure is the feeder's p_r
+state), through gains as the product of their factors. The pattern of
+rows, columns and coefficients depends on the topology only; fill
+evaluates it at operating points and gain values. One element with every
+input external is the element's own model (make_*).
 
 All composites use the isothermal 2D pipe model and assume positive
 nominal flow entering at the left flange of every member pipe ('l' is the
@@ -30,6 +40,8 @@ reversing pipe orientation.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
@@ -37,11 +49,15 @@ from types import MappingProxyType
 import numpy as np
 
 from .core import GasProperties, OperatingPoint, PipeParams, SignalLabel, StateSpaceModel
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalError
 # linearize_2d stays importable here: perfbench/tracer.py wraps composites.linearize_2d
 from .pipe_dynamics import iso_coefficients, linearize_2d  # noqa: F401
 
 NOMINAL_RTOL = 1e-9
+
+CONDITION_LIMIT = 1e12
+
+_ILL_POSED = "algebraic loop ill-posed: I - D F is singular or ill-conditioned"
 
 # Junctions of each element kind with n members, as (feeder positions,
 # taker positions); member positions follow the make_* argument order.
@@ -52,6 +68,9 @@ JUNCTIONS = {
     "branch": lambda n: [((0,), (1, 2))],
     "series": lambda n: [((i,), (i + 1,)) for i in range(n - 1)],
 }
+
+# coefficient slots of pipe i in NodeRule.fill: 4 i + one of these
+_ALPHA, _BETA_PR, _BETA_PL, _GAMMA = range(4)
 
 
 @dataclass(frozen=True)
@@ -120,66 +139,249 @@ def port_ends(kind: str, member_ids) -> dict[str, tuple[str, str]]:
             for name, flange, i, _, _ in _layout(kind, len(member_ids))[4]}
 
 
-def _ports(kind: str, n: int, model: StateSpaceModel) -> dict[str, Port]:
-    """Port table of a model with the boundary input and output order of _layout."""
-    ins, outs = model.input_labels, model.output_labels
-    return {name: Port(name, flange, ins[u], outs[y])
-            for name, flange, _, u, y in _layout(kind, n)[4]}
+def element_signals(kind: str, member_ids):
+    """State, input and output labels of one element, and its port table.
+
+    member_ids is (element id,) for a gain, which has no states.
+    """
+    nodes, at, lefts, rights, ports = _layout(kind, len(member_ids))
+    p_labels = [SignalLabel(member_ids[feeders[0]], "r", "p") for feeders, _ in nodes]
+    q_labels = [SignalLabel(mid, "l", "q") for mid in member_ids]
+    inputs = ([SignalLabel(member_ids[i], "l", "p") for i in lefts]
+              + [SignalLabel(member_ids[i], "r", "q") for i in rights])
+    outputs = [p_labels[at["r", i]] for i in rights] + [q_labels[i] for i in lefts]
+    states = () if kind == "gain" else tuple(p_labels + q_labels)
+    table = {name: Port(name, flange, inputs[u], outputs[y])
+             for name, flange, _, u, y in ports}
+    return states, tuple(inputs), tuple(outputs), table
 
 
-def _require_positive_flow(ops):
-    for op in ops:
-        if not op.q_ss > 0.0:
-            raise ConfigurationError("composite requires positive nominal flow")
+def _scatter(shape, flat, values) -> np.ndarray:
+    """Dense array that sums values at the flat positions, in the order given."""
+    out = np.zeros(shape[0] * shape[1])
+    np.add.at(out, flat, values)
+    return out.reshape(shape)
+
+
+class NodeRule:
+    """Where each coefficient of the node rule lands in A, B, C and D.
+
+    elements lists (kind, member count) in state order, a gain counting
+    one member. drivers gives the source of every element input, in the
+    order of the elements' inputs: ("y", element output) or ("u", external
+    column), as interconnect._drivers returns them.
+
+    Each input resolves along its sources to one state or one external
+    input. A pipe's output is one of its states; a gain's output is its
+    factor (k on pressure, 1 on flow) times the gain's own input, so a
+    chain of gains multiplies its factors in the order the chain is
+    walked from the output. A ring of gains with no pipe in it never
+    reaches a state and raises NumericalError: its flow cycle has gain 1,
+    so I - D F is singular.
+
+    The model equals interconnect.close over the stacked element models,
+    with the elements' states and outputs in order. Entries that share a
+    position add, element A first, then the resolved inputs.
+    """
+
+    def __init__(self, elements, drivers, n_external: int):
+        if not elements:
+            raise ConfigurationError("cannot stack an empty model list")
+        # (row, column, coefficient slot, scale slot) of A and B; scale slot 0 is
+        # 1.0, 1 is -1.0, 2 + c the factor of gain chain c. A coefficient slot
+        # below 0 is the parallel alpha -1 - slot.
+        a, b = [], []
+        sources = []   # per output: (gain or -1, True, state) or (gain or -1, False, input)
+        feeds = []     # per input: (row, coefficient slot) of its entry; None for a gain's
+        parallel = []  # per two-feeder node: the coefficient slots of the feeders' alphas
+        n_states = n_pipes = n_gains = 0
+        for kind, n in elements:
+            if kind == "gain":
+                i = len(feeds)
+                sources += [(n_gains, False, i), (-1, False, i + 1)]
+                feeds += [None, None]
+                n_gains += 1
+                continue
+            nodes, at, lefts, rights, _ = _layout(kind, n)
+            s0, f0 = n_states, n_states + len(nodes)  # first pressure, first flow state
+            slot = [4 * (n_pipes + i) for i in range(n)]
+            for k, (feeders, takers) in enumerate(nodes):
+                if len(feeders) == 1:
+                    alpha = slot[feeders[0]] + _ALPHA
+                else:
+                    alpha = -1 - len(parallel)
+                    parallel.append([slot[i] + _ALPHA for i in feeders])
+                a += [(s0 + k, f0 + i, alpha, 0) for i in takers]
+                a += [(s0 + k, f0 + i, alpha, 1) for i in feeders]
+            for i in range(n):
+                a.append((f0 + i, s0 + at["r", i], slot[i] + _BETA_PR, 0))
+                if ("l", i) in at:
+                    a.append((f0 + i, s0 + at["l", i], slot[i] + _BETA_PL, 0))
+                a.append((f0 + i, f0 + i, slot[i] + _GAMMA, 0))
+            feeds += [(f0 + i, slot[i] + _BETA_PL) for i in lefts]
+            feeds += [(s0 + at["r", i], slot[i] + _ALPHA) for i in rights]
+            sources += [(-1, True, s0 + at["r", i]) for i in rights]
+            sources += [(-1, True, f0 + i) for i in lefts]
+            n_states, n_pipes = f0 + n, n_pipes + n
+
+        def resolve(j):
+            """(gain of each output passed, -1 for a factor 1; state?; state or column)."""
+            steps, seen = [], {j}
+            while True:
+                gain, is_state, k = sources[j]
+                steps.append(gain)
+                if is_state:
+                    return tuple(steps), True, k
+                kind, k = drivers[k]
+                if kind == "u":
+                    return tuple(steps), False, k
+                if k in seen:
+                    raise NumericalError(_ILL_POSED)
+                seen.add(k)
+                j = k
+
+        resolved = [resolve(j) for j in range(len(sources))]
+        counts = Counter(steps for steps, _, _ in resolved)
+        self._chains = [(steps, count) for steps, count in counts.items() if max(steps) >= 0]
+        scale = {steps: 2 + c for c, (steps, _) in enumerate(self._chains)}
+        for (kind, k), feed in zip(drivers, feeds):
+            if feed is not None:
+                row, coef = feed
+                if kind == "u":
+                    b.append((row, k, coef, 0))
+                else:
+                    steps, is_state, k = resolved[k]
+                    (a if is_state else b).append((row, k, coef, scale.get(steps, 0)))
+        c = [(j, k, scale.get(steps, 0)) for j, (steps, on_state, k) in enumerate(resolved)
+             if on_state]
+        d = [(j, k, scale.get(steps, 0)) for j, (steps, on_state, k) in enumerate(resolved)
+             if not on_state]
+
+        self.shape = (n_states, n_external, len(sources))
+        self._parallel = np.array(parallel, dtype=np.intp).reshape(-1, 2).T
+        self._a, self._b, self._c, self._d = (
+            self._pattern(entries, cols, 4 * n_pipes)
+            for entries, cols in ((a, n_states), (b, n_external), (c, n_states), (d, n_external)))
+        # ||I - D F||_F^2: 1 per output, plus the square of each feed-through
+        # factor whose input an output feeds; ||(I - D F)^-1||_F^2: the square of
+        # the running factor at each step of every resolution
+        fed = [gain for gain, is_state, k in sources if not is_state and drivers[k][0] == "y"]
+        self._idf_ones = len(sources) + fed.count(-1)
+        self._idf_gains = [gain for gain in fed if gain >= 0]
+        self._inv_ones = sum(len(steps) * count for steps, count in counts.items()
+                             if max(steps) < 0)
+
+    @staticmethod
+    def _pattern(entries, n_cols, n_pipe_slots):
+        """Flat positions, coefficient slots and scale slots of one matrix's entries."""
+        if not entries:
+            return np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0, np.intp)
+        cols = np.array(entries, dtype=np.intp).T
+        flat = cols[0] * n_cols + cols[1]
+        if len(cols) == 3:  # C and D: the factor alone
+            return flat, None, cols[2]
+        coef = np.where(cols[2] < 0, n_pipe_slots - 1 - cols[2], cols[2])
+        return flat, coef, cols[3]
+
+    def fill(self, pipes, gas: GasProperties | None, gains=()):
+        """A, B, C, D and each two-feeder node's delta = alpha_1/(alpha_1 + alpha_2).
+
+        pipes are the (PipeParams, OperatingPoint) of every member pipe in
+        element order; gains the k of every gain. Raises the NumericalError
+        of interconnect.close when ||I - D F||_F ||(I - D F)^-1||_F exceeds
+        CONDITION_LIMIT.
+        """
+        cs = [iso_coefficients(par, op, gas) for par, op in pipes]
+        coef = np.array([(c.alpha, c.beta_pr, c.beta_pl, c.gamma) for c in cs]).reshape(-1)
+        a1, a2 = coef[self._parallel[0]], coef[self._parallel[1]]
+        delta = a1 / (a1 + a2)
+        coef = np.concatenate([coef, a1 * (1.0 - delta)])
+
+        factors, norm2_inv = [], float(self._inv_ones)
+        for steps, count in self._chains:
+            factor, running = 1.0, 0.0
+            for gain in steps:
+                running += factor * factor
+                if gain >= 0:
+                    factor *= gains[gain]
+            factors.append(factor)
+            norm2_inv += count * running
+        norm2_idf = self._idf_ones + sum(gains[g] * gains[g] for g in self._idf_gains)
+        if not math.sqrt(norm2_idf * norm2_inv) <= CONDITION_LIMIT:  # "not <=" rejects nan
+            raise NumericalError(_ILL_POSED)
+
+        scale = np.array([1.0, -1.0, *factors])
+        n, m, p = self.shape
+        A = _scatter((n, n), self._a[0], coef[self._a[1]] * scale[self._a[2]])
+        B = _scatter((n, m), self._b[0], coef[self._b[1]] * scale[self._b[2]])
+        C = _scatter((p, n), self._c[0], scale[self._c[2]])
+        D = _scatter((p, m), self._d[0], scale[self._d[2]])
+        return A, B, C, D, delta
+
+
+@lru_cache(maxsize=None)
+def _rule(kind: str, n: int) -> NodeRule:
+    """The node rule of one element alone, every input external; one per kind and size."""
+    n_inputs = len(_layout(kind, n)[4])
+    return NodeRule([(kind, n)], [("u", i) for i in range(n_inputs)], n_inputs)
+
+
+def _assemble(kind: str, pipes, gas: GasProperties | None, member_ids,
+              gains=()) -> CompositeModel:
+    """One element as its own network: the node rule with every input external.
+
+    gains holds k for a gain element and is empty otherwise.
+    """
+    member_ids = tuple(member_ids)
+    states, inputs, outputs, ports = element_signals(kind, member_ids)
+    A, B, C, D, delta = _rule(kind, len(member_ids)).fill(pipes, gas, gains)
+    model = StateSpaceModel(A, B, C, D, states, inputs, outputs)
+    return CompositeModel(model, kind, member_ids, ports,
+                          delta=float(delta[0]) if len(delta) else None)
 
 
 def _rel_close(a, b, tol=NOMINAL_RTOL):
     return abs(a - b) <= tol * max(abs(a), abs(b), 1.0)
 
 
-def _assemble(kind: str, pipes, gas: GasProperties, member_ids) -> CompositeModel:
-    """The node rule (module docstring) for one kind and its member pipes."""
-    member_ids = tuple(member_ids)
-    cs = [iso_coefficients(par, op, gas) for par, op in pipes]
-    n = len(cs)
-    nodes, at, lefts, rights, _ = _layout(kind, n)
-    n_p = len(nodes)
+def check_members(kind: str, ops, check_nominal: bool):
+    """Raise the ConfigurationError of make_<kind> for these member operating points.
 
-    A = np.zeros((n_p + n, n_p + n))
-    B = np.zeros((n_p + n, len(lefts) + len(rights)))
-    delta = None
-    for k, (feeders, takers) in enumerate(nodes):
-        if len(feeders) == 1:
-            alpha = cs[feeders[0]].alpha
-        else:
-            a1, a2 = cs[feeders[0]].alpha, cs[feeders[1]].alpha
-            delta = a1 / (a1 + a2)
-            alpha = a1 * (1.0 - delta)
-        for i in takers:
-            A[k, n_p + i] = alpha
-        for i in feeders:
-            A[k, n_p + i] = -alpha
-    for i, c in enumerate(cs):
-        A[n_p + i, at["r", i]] = c.beta_pr
-        if ("l", i) in at:
-            A[n_p + i, at["l", i]] = c.beta_pl
-        A[n_p + i, n_p + i] = c.gamma
-    for col, i in enumerate(lefts):
-        B[n_p + i, col] = cs[i].beta_pl
-    for col, i in enumerate(rights, len(lefts)):
-        B[at["r", i], col] = cs[i].alpha
-    C = np.zeros((len(rights) + len(lefts), n_p + n))
-    for row, k in enumerate([at["r", i] for i in rights] + [n_p + i for i in lefts]):
-        C[row, k] = 1.0
+    Joint, branch and series members need positive nominal flow; with
+    check_nominal their flows and pressures must also agree at every
+    junction. A pipe has no check.
+    """
+    if kind == "pipe":
+        return
+    for op in ops:
+        if not op.q_ss > 0.0:
+            raise ConfigurationError("composite requires positive nominal flow")
+    if not check_nominal:
+        return
+    if kind == "joint":
+        if not _rel_close(ops[0].q_ss, ops[1].q_ss + ops[2].q_ss):
+            raise ConfigurationError(
+                "inconsistent nominals: joint requires q0_ss = q1_ss + q2_ss")
+        if not _rel_close(ops[1].p_r_ss, ops[2].p_r_ss):
+            raise ConfigurationError(
+                "inconsistent nominals: joint requires p1_r_ss = p2_r_ss")
+    elif kind == "branch":
+        if not _rel_close(ops[0].q_ss, ops[1].q_ss + ops[2].q_ss):
+            raise ConfigurationError(
+                "inconsistent nominals: branch requires q0_ss = q1_ss + q2_ss")
+    elif kind == "series":
+        for up, down in zip(ops, ops[1:]):
+            if not _rel_close(up.q_ss, down.q_ss):
+                raise ConfigurationError("inconsistent nominals: series requires equal flow")
+            if not _rel_close(up.p_r_ss, down.p_l_ss):
+                raise ConfigurationError(
+                    "inconsistent nominals: series requires chained pressures")
 
-    p_labels = [SignalLabel(member_ids[feeders[0]], "r", "p") for feeders, _ in nodes]
-    q_labels = [SignalLabel(mid, "l", "q") for mid in member_ids]
-    inputs = ([SignalLabel(member_ids[i], "l", "p") for i in lefts]
-              + [SignalLabel(member_ids[i], "r", "q") for i in rights])
-    outputs = [p_labels[at["r", i]] for i in rights] + [q_labels[i] for i in lefts]
-    model = StateSpaceModel(A, B, C, np.zeros((C.shape[0], B.shape[1])),
-                            tuple(p_labels + q_labels), tuple(inputs), tuple(outputs))
-    return CompositeModel(model, kind, member_ids, _ports(kind, n, model), delta=delta)
+
+def check_gain(k: float):
+    """Raise the ConfigurationError of make_gain for k."""
+    if k == 0.0:
+        raise ConfigurationError("gain k must be nonzero")
 
 
 def make_pipe(params: PipeParams, op: OperatingPoint, gas: GasProperties,
@@ -204,15 +406,7 @@ def make_joint(pipe0, pipe1, pipe2, gas: GasProperties,
     States [p_0r, p_1r, q_0l, q_1l, q_2l]; inputs [p_1l, p_2l, q_0r];
     outputs [p_0r, q_1l, q_2l].
     """
-    (_, op0), (_, op1), (_, op2) = pipe0, pipe1, pipe2
-    _require_positive_flow((op0, op1, op2))
-    if check_nominal:
-        if not _rel_close(op0.q_ss, op1.q_ss + op2.q_ss):
-            raise ConfigurationError(
-                "inconsistent nominals: joint requires q0_ss = q1_ss + q2_ss")
-        if not _rel_close(op1.p_r_ss, op2.p_r_ss):
-            raise ConfigurationError(
-                "inconsistent nominals: joint requires p1_r_ss = p2_r_ss")
+    check_members("joint", [op for _, op in (pipe0, pipe1, pipe2)], check_nominal)
     return _assemble("joint", (pipe0, pipe1, pipe2), gas, member_ids)
 
 
@@ -224,11 +418,7 @@ def make_branch(pipe0, pipe1, pipe2, gas: GasProperties,
     States [p_0r, p_1r, p_2r, q_0l, q_1l, q_2l]; inputs [p_0l, q_1r, q_2r];
     outputs [p_1r, p_2r, q_0l].
     """
-    (_, op0), (_, op1), (_, op2) = pipe0, pipe1, pipe2
-    _require_positive_flow((op0, op1, op2))
-    if check_nominal and not _rel_close(op0.q_ss, op1.q_ss + op2.q_ss):
-        raise ConfigurationError(
-            "inconsistent nominals: branch requires q0_ss = q1_ss + q2_ss")
+    check_members("branch", [op for _, op in (pipe0, pipe1, pipe2)], check_nominal)
     return _assemble("branch", (pipe0, pipe1, pipe2), gas, member_ids)
 
 
@@ -249,25 +439,11 @@ def make_series(pipes, gas: GasProperties, member_ids=None,
     member_ids = tuple(member_ids)
     if len(member_ids) != N:
         raise ConfigurationError("series needs one id per member pipe")
-    ops = [op for _, op in pipes]
-    _require_positive_flow(ops)
-    if check_nominal:
-        for i in range(N - 1):
-            if not _rel_close(ops[i].q_ss, ops[i + 1].q_ss):
-                raise ConfigurationError("inconsistent nominals: series requires equal flow")
-            if not _rel_close(ops[i].p_r_ss, ops[i + 1].p_l_ss):
-                raise ConfigurationError(
-                    "inconsistent nominals: series requires chained pressures")
+    check_members("series", [op for _, op in pipes], check_nominal)
     return _assemble("series", pipes, gas, member_ids)
 
 
 def make_gain(k: float, element_id: str = "G") -> CompositeModel:
     """Static two-port gain (compressor or valve): p_r = k p_l, q_l = q_r."""
-    if k == 0.0:
-        raise ConfigurationError("gain k must be nonzero")
-    D = np.array([[k, 0.0], [0.0, 1.0]])
-    inputs = (SignalLabel(element_id, "l", "p"), SignalLabel(element_id, "r", "q"))
-    outputs = (SignalLabel(element_id, "r", "p"), SignalLabel(element_id, "l", "q"))
-    model = StateSpaceModel(np.zeros((0, 0)), np.zeros((0, 2)),
-                            np.zeros((2, 0)), D, (), inputs, outputs)
-    return CompositeModel(model, "gain", (element_id,), _ports("gain", 1, model))
+    check_gain(k)
+    return _assemble("gain", (), None, (element_id,), (k,))

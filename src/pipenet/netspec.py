@@ -19,6 +19,16 @@ Pipes consumed by a joint, branch or series are parameter donors only;
 they are not elements and may not be linked directly. Element
 declaration order determines state ordering, so identical files yield
 identical matrices.
+
+A parsed description is compiled once (CompiledNetwork) into what its
+topology and declared data fix: λ per pipe, the node graph and balanced
+flows, the labels, and the node rule pattern of the closed model
+(composites.NodeRule). Fills evaluate it: steady_state spreads the
+pressures at given gain values, model scatters the pipes' linearization
+coefficients and the gain factors into A, B, C and D. build_closed and
+network_steady_state are one compile and one fill; a gain sweep compiles
+once and fills per gain. build_elements and elaborate keep the per-element
+models of the oracle path (interconnect.close, analysis.mason_check).
 """
 
 from __future__ import annotations
@@ -27,17 +37,20 @@ import math
 import re
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .composites import (JUNCTIONS, NOMINAL_RTOL, CompositeModel, make_branch, make_gain,
-                         make_joint, make_pipe, make_series, port_ends)
-from .core import GasProperties, OperatingPoint, PipeParams, SignalLabel
+from . import core
+from .composites import (JUNCTIONS, NOMINAL_RTOL, CompositeModel, NodeRule, check_gain,
+                         check_members, element_signals, make_branch, make_gain, make_joint,
+                         make_pipe, make_series, port_ends)
+from .core import GasProperties, OperatingPoint, PipeParams, SignalLabel, StateSpaceModel
 from .errors import ConfigurationError, ParseError
 from .friction import resolve_lambda
 # close stays importable here although nothing here calls it: perfbench/tracer.py wraps
 # netspec.close, netspec.stack and netspec.build_FG by name
-from .interconnect import (ConnectionMatrices, StackedSystem, assemble, build_FG,  # noqa: F401
+from .interconnect import (ConnectionMatrices, StackedSystem, _drivers, build_FG,  # noqa: F401
                            close, stack)
 from .steady_state import isothermal_nominal
 
@@ -185,6 +198,7 @@ def parse(text: str) -> NetworkSpec:
     elements = []
     element_names: dict[str, object] = {}
     nominals: dict[str, NominalDecl] = {}
+    nominal_lines: dict[str, int] = {}
     links = []
     inputs = []
     outputs = []
@@ -290,6 +304,7 @@ def parse(text: str) -> NetworkSpec:
                                            _kv_float(kv, "q"),
                                            Tl=_kv_float(kv, "Tl"),
                                            Tr=_kv_float(kv, "Tr"))
+            nominal_lines[target] = lineno
         elif kind == "link":
             if len(args) != 2:
                 raise ParseError("link takes exactly two ports", lineno)
@@ -342,9 +357,9 @@ def parse(text: str) -> NetworkSpec:
             raise ParseError(f"duplicate input {name!r}", lineno)
         seen_inputs.add(name)
         check_portref(ref, lineno)
-    for nom_target in nominals:
+    for nom_target, lineno in nominal_lines.items():
         if nom_target != "*" and nom_target not in pipes:
-            raise ParseError(f"nominal names unknown pipe {nom_target!r}")
+            raise ParseError(f"nominal names unknown pipe {nom_target!r}", lineno)
 
     # pipes consumed by a composite are parameter donors, not elements
     elements = [el for el in elements
@@ -507,6 +522,210 @@ class NetworkSteadyState:
     unmet: tuple[UnmetConstraint, ...]
 
 
+def _wiring(spec: NetworkSpec, ports: dict):
+    """Port pairs of the links and (name, port) of the external inputs.
+
+    ports maps each element id to its port table.
+    """
+    def port(ref: PortRef):
+        table = ports.get(ref.element)
+        if table is None:
+            raise ConfigurationError(f"unknown element {ref.element!r}")
+        try:
+            return table[ref.port]
+        except KeyError:
+            raise ConfigurationError(
+                f"element {ref.element!r} has no port {ref.port!r}") from None
+
+    link_ports = [(port(a), port(b)) for a, b in spec.links]
+    external_ports = [(name, port(ref)) for name, ref in spec.inputs]
+    return link_ports, external_ports
+
+
+def _unknown_gain(element_id: str) -> ConfigurationError:
+    return ConfigurationError(f"no gain element named {element_id!r}")
+
+
+class CompiledNetwork:
+    """A network description compiled once: what it fixes before any operating point is known.
+
+    Holds the resolved friction factor of every pipe and the declared gain
+    values; on first use it also holds the steady-state program (the node
+    graph, the projected flows and the order of the pressure spread) and
+    the model's labels and node rule pattern (composites.NodeRule). None of
+    these depend on a gain value, so a gain sweep compiles once and fills
+    per step: steady_state, then model.
+    """
+
+    def __init__(self, spec: NetworkSpec):
+        self.spec = spec
+        self.pipe_ids = [pid for el in spec.elements for pid in _members(el)]
+        self.params = {pid: _pipe_params(spec.pipes[pid]) for pid in self.pipe_ids}
+        gains = [el for el in spec.elements if isinstance(el, GainDecl)]
+        self._gain_index = {g.name: i for i, g in enumerate(gains)}
+        self.gains = tuple(g.k for g in gains)
+
+    def gains_with(self, element_id: str, k: float) -> tuple:
+        """The declared gain values with one gain element's k replaced."""
+        i = self._gain_index.get(element_id)
+        if i is None:
+            raise _unknown_gain(element_id)
+        return self.gains[:i] + (k,) + self.gains[i + 1:]
+
+    @cached_property
+    def _spread(self):
+        """(starts, steps, node count, owners) of the pressure spread (network_steady_state).
+
+        The spread visits the same nodes in the same order at every gain
+        value, so it is recorded once. starts are (node, declared pl);
+        steps are (pipe or gain id, gain index or -1 for a pipe, pipe flow,
+        from node, to node, whether this is the first arrival at to);
+        owners map each pipe and gain id to its element.
+        """
+        spec = self.spec
+        ports = {el.name: _ends(el) for el in spec.elements}
+        pipe_ids = self.pipe_ids
+        owner = {pid: el.name for el in spec.elements for pid in _members(el)}
+        owner.update((g, g) for g in self._gain_index)
+        ends = [(name, flange) for name in owner for flange in "lr"]
+
+        def end(ref: PortRef):
+            return ports[ref.element][ref.port]
+
+        joins = [(end(a), end(b)) for a, b in spec.links]
+        for el in spec.elements:  # each junction of a composite holds its ends at one pressure
+            ids = _members(el)
+            for feeders, takers in JUNCTIONS[_KIND[type(el)]](len(ids)):
+                meet = [(ids[i], "r") for i in feeders] + [(ids[i], "l") for i in takers]
+                joins += [(meet[0], e) for e in meet[1:]]
+        node = _group(ends, joins)
+        flow_node = _group(ends, joins + [((g, "l"), (g, "r")) for g in self._gain_index])
+
+        declared = {pid: _nominal(spec, pid)[0] for pid in pipe_ids}
+        q0 = np.array([declared[pid].q for pid in pipe_ids])
+        boundary = {flow_node[end(ref)] for _, ref in spec.inputs}
+        balanced = [n for n in sorted(set(flow_node.values())) if n not in boundary]
+        row = {n: i for i, n in enumerate(balanced)}
+        N = np.zeros((len(balanced), len(pipe_ids)))
+        for j, pid in enumerate(pipe_ids):
+            for flange, sign in (("l", -1.0), ("r", 1.0)):
+                i = row.get(flow_node[(pid, flange)])
+                if i is not None:
+                    N[i, j] += sign
+        resid = N @ q0
+        q = q0
+        if np.any(np.abs(resid) > NOMINAL_RTOL * max(np.abs(q0).max(initial=0.0), 1.0)):
+            q = q0 - np.linalg.lstsq(N, resid, rcond=None)[0]
+        flow = dict(zip(pipe_ids, q.tolist()))
+
+        leaving = {}  # node -> [(pipe or gain id, gain index or -1 for a pipe)]
+        for pid in pipe_ids:
+            leaving.setdefault(node[(pid, "l")], []).append((pid, -1))
+        for g, i in self._gain_index.items():
+            leaving.setdefault(node[(g, "l")], []).append((g, i))
+
+        starts, steps, reached = [], [], set()
+        fed = [end(ref)[0] for _, ref in spec.inputs if ref.port[0] == "l"]
+        for pid in fed + pipe_ids:  # pressure inputs first, then inlets nothing reached
+            start = node.get((pid, "l"))
+            if pid not in declared or start in reached:
+                continue
+            starts.append((start, declared[pid].pl))
+            reached.add(start)
+            queue = deque([start])
+            while queue:
+                n = queue.popleft()
+                for name, gain in leaving.get(n, ()):
+                    to = node[(name, "r")]
+                    steps.append((name, gain, flow.get(name), n, to, to not in reached))
+                    if to not in reached:
+                        reached.add(to)
+                        queue.append(to)
+        return starts, steps, len(set(node.values())), owner
+
+    def steady_state(self, gains=None) -> NetworkSteadyState:
+        """network_steady_state at the given gain values (default: the declared ones)."""
+        gains = self.gains if gains is None else gains
+        starts, steps, n_nodes, owner = self._spread
+        gas, params = self.spec.gas, self.params
+        pressure = [0.0] * n_nodes
+        for n, pl in starts:
+            pressure[n] = pl
+        ops, unmet = {}, []
+        for name, gain, q, n, to, first in steps:
+            if gain < 0:
+                op = ops[name] = isothermal_nominal(pressure[n], q, gas.T_0, params[name], gas)
+                p_out = op.p_r_ss
+            else:
+                p_out = gains[gain] * pressure[n]
+            if first:
+                pressure[to] = p_out
+            elif not math.isclose(pressure[to], p_out, rel_tol=NOMINAL_RTOL):
+                unmet.append(UnmetConstraint(owner[name], str(SignalLabel(name, "r", "p")),
+                                             pressure[to], p_out))
+        return NetworkSteadyState(ops, tuple(unmet))
+
+    def members_at(self, ops=None):
+        """Per element: its declaration, the (params, op) of its member pipes, and
+        whether the composites' nominal checks apply.
+
+        With ops (pipe id -> OperatingPoint) the checks are off. Without
+        them each pipe sits at its declared nominal, and a composite is
+        checked only when each member has its own nominal statement ('*'
+        defaults are not checked).
+        """
+        spec = self.spec
+        for el in spec.elements:
+            ids = _members(el)
+            if ops is not None:
+                yield el, [(self.params[pid], ops[pid]) for pid in ids], False
+                continue
+            pipes, named = [], []
+            for pid in ids:
+                nom, own = _nominal(spec, pid)
+                pipes.append((self.params[pid], isothermal_nominal(
+                    nom.pl, nom.q, spec.gas.T_0, self.params[pid], spec.gas)))
+                named.append(own)
+            yield el, pipes, all(named)
+
+    @cached_property
+    def _closure(self):
+        """(state labels, input names, output labels, node rule) of the closed model."""
+        spec = self.spec
+        kinds = [(_KIND[type(el)], _members(el) or (el.name,)) for el in spec.elements]
+        signals = [element_signals(kind, ids) for kind, ids in kinds]
+        states, inputs, outputs = ([lab for sig in signals for lab in sig[i]] for i in range(3))
+        in_index = core.label_index(inputs, "input")
+        out_index = core.label_index(outputs, "output")
+        links, externals = _wiring(spec, {el.name: sig[3]
+                                          for el, sig in zip(spec.elements, signals)})
+        drivers = _drivers(inputs, lambda lab: core._index_of(in_index, lab, "input"),
+                           lambda lab: core._index_of(out_index, lab, "output"),
+                           links, externals)
+        rule = NodeRule([(kind, len(ids)) for kind, ids in kinds], drivers, len(externals))
+        return tuple(states), tuple(name for name, _ in spec.inputs), tuple(outputs), rule
+
+    def model(self, ops=None, gains=None) -> StateSpaceModel:
+        """The closed network model at ops and gains (default: declared nominals and gains).
+
+        Checks each element as make_* would (members_at), then fills the
+        node rule. Equals close(*elaborate(spec, steady)) with the inputs
+        named, where steady carries ops.
+        """
+        gains = self.gains if gains is None else gains
+        pipes, g = [], 0
+        for el, members, check in self.members_at(ops):
+            if isinstance(el, GainDecl):
+                check_gain(gains[g])
+                g += 1
+            else:
+                check_members(_KIND[type(el)], [op for _, op in members], check)
+                pipes += members
+        states, inputs, outputs, rule = self._closure
+        A, B, C, D, _ = rule.fill(pipes, self.spec.gas, gains)
+        return StateSpaceModel(A, B, C, D, states, inputs, outputs)
+
+
 def network_steady_state(spec: NetworkSpec) -> NetworkSteadyState:
     """Gain-aware linearization points for every pipe of the network.
 
@@ -532,82 +751,15 @@ def network_steady_state(spec: NetworkSpec) -> NetworkSteadyState:
     ring without one) starts from its own declared pl. The declared pl
     of every other pipe is not used.
 
-    Costs one steady-state solve per pipe.
+    Costs one steady-state solve per pipe. Only the spread depends on
+    the gains (CompiledNetwork.steady_state).
     """
-    ports = {el.name: _ends(el) for el in spec.elements}
-    pipe_ids = [pid for el in spec.elements for pid in _members(el)]
-    gains = [el for el in spec.elements if isinstance(el, GainDecl)]
-    owner = {pid: el.name for el in spec.elements for pid in _members(el)}
-    owner.update((g.name, g.name) for g in gains)
-    ends = [(name, flange) for name in owner for flange in "lr"]
-
-    def end(ref: PortRef):
-        return ports[ref.element][ref.port]
-
-    joins = [(end(a), end(b)) for a, b in spec.links]
-    for el in spec.elements:  # each junction of a composite holds its ends at one pressure
-        ids = _members(el)
-        for feeders, takers in JUNCTIONS[_KIND[type(el)]](len(ids)):
-            meet = [(ids[i], "r") for i in feeders] + [(ids[i], "l") for i in takers]
-            joins += [(meet[0], e) for e in meet[1:]]
-    node = _group(ends, joins)
-    flow_node = _group(ends, joins + [((g.name, "l"), (g.name, "r")) for g in gains])
-
-    declared = {pid: _nominal(spec, pid)[0] for pid in pipe_ids}
-    q0 = np.array([declared[pid].q for pid in pipe_ids])
-    boundary = {flow_node[end(ref)] for _, ref in spec.inputs}
-    balanced = [n for n in sorted(set(flow_node.values())) if n not in boundary]
-    row = {n: i for i, n in enumerate(balanced)}
-    N = np.zeros((len(balanced), len(pipe_ids)))
-    for j, pid in enumerate(pipe_ids):
-        for flange, sign in (("l", -1.0), ("r", 1.0)):
-            i = row.get(flow_node[(pid, flange)])
-            if i is not None:
-                N[i, j] += sign
-    resid = N @ q0
-    q = q0
-    if np.any(np.abs(resid) > NOMINAL_RTOL * max(np.abs(q0).max(initial=0.0), 1.0)):
-        q = q0 - np.linalg.lstsq(N, resid, rcond=None)[0]
-    flow = dict(zip(pipe_ids, q.tolist()))
-
-    leaving = {}  # node -> [(pipe or gain id, gain k or None for a pipe)]
-    for pid in pipe_ids:
-        leaving.setdefault(node[(pid, "l")], []).append((pid, None))
-    for g in gains:
-        leaving.setdefault(node[(g.name, "l")], []).append((g.name, g.k))
-
-    pressure, ops, unmet = {}, {}, []
-
-    def spread(start, p):
-        pressure[start] = p
-        queue = deque([start])
-        while queue:
-            n = queue.popleft()
-            for name, k in leaving.get(n, ()):
-                if k is None:
-                    ops[name] = isothermal_nominal(pressure[n], flow[name], spec.gas.T_0,
-                                                   _pipe_params(spec.pipes[name]), spec.gas)
-                    p_out = ops[name].p_r_ss
-                else:
-                    p_out = k * pressure[n]
-                to = node[(name, "r")]
-                if to not in pressure:
-                    pressure[to] = p_out
-                    queue.append(to)
-                elif not math.isclose(pressure[to], p_out, rel_tol=NOMINAL_RTOL):
-                    unmet.append(UnmetConstraint(owner[name], str(SignalLabel(name, "r", "p")),
-                                                 pressure[to], p_out))
-
-    fed = [end(ref)[0] for _, ref in spec.inputs if ref.port[0] == "l"]
-    for pid in fed + pipe_ids:  # pressure inputs first, then inlets nothing reached
-        if pid in declared and pid not in ops:
-            spread(node[(pid, "l")], declared[pid].pl)
-    return NetworkSteadyState(ops, tuple(unmet))
+    return CompiledNetwork(spec).steady_state()
 
 
 def build_elements(spec: NetworkSpec,
                    steady: NetworkSteadyState | None = None) -> list[CompositeModel]:
-    """Instantiate every element model in declaration order.
+    """Instantiate every element model in declaration order (the oracle path).
 
     With steady (from network_steady_state) every pipe is linearized at
     its gain-aware operating point; that pass reports the constraints it
@@ -616,53 +768,21 @@ def build_elements(spec: NetworkSpec,
     checks consistency only when each member has its own nominal
     statement ('*' defaults are not checked).
     """
-    def member(pid):
-        params = _pipe_params(spec.pipes[pid])
-        if steady is not None:
-            return (params, steady.ops[pid]), False
-        nom, named = _nominal(spec, pid)
-        op = isothermal_nominal(nom.pl, nom.q, spec.gas.T_0, params, spec.gas)
-        return (params, op), named
-
     out = []
-    for el in spec.elements:
+    ops = None if steady is None else steady.ops
+    for el, pipes, check in CompiledNetwork(spec).members_at(ops):
+        ids = _members(el)
         if isinstance(el, GainDecl):
             out.append(make_gain(el.k, el.name))
-            continue
-        ids = _members(el)
-        pipes, named = zip(*(member(pid) for pid in ids))
-        if isinstance(el, PipeDecl):
+        elif isinstance(el, PipeDecl):
             out.append(make_pipe(*pipes[0], spec.gas, el.name))
         elif isinstance(el, JointDecl):
-            out.append(make_joint(*pipes, spec.gas, member_ids=ids,
-                                  check_nominal=all(named)))
+            out.append(make_joint(*pipes, spec.gas, member_ids=ids, check_nominal=check))
         elif isinstance(el, BranchDecl):
-            out.append(make_branch(*pipes, spec.gas, member_ids=ids,
-                                   check_nominal=all(named)))
+            out.append(make_branch(*pipes, spec.gas, member_ids=ids, check_nominal=check))
         elif isinstance(el, SeriesDecl):
-            out.append(make_series(pipes, spec.gas, member_ids=ids,
-                                   check_nominal=all(named)))
+            out.append(make_series(pipes, spec.gas, member_ids=ids, check_nominal=check))
     return out
-
-
-def _wiring(spec: NetworkSpec, composites: list[CompositeModel]):
-    """Port pairs of the links and (name, port) of the external inputs."""
-    by_name = {el.name: comp
-               for el, comp in zip(spec.elements, composites)}
-
-    def port(ref: PortRef):
-        comp = by_name.get(ref.element)
-        if comp is None:
-            raise ConfigurationError(f"unknown element {ref.element!r}")
-        try:
-            return comp.ports[ref.port]
-        except KeyError:
-            raise ConfigurationError(
-                f"element {ref.element!r} has no port {ref.port!r}") from None
-
-    link_ports = [(port(a), port(b)) for a, b in spec.links]
-    external_ports = [(name, port(ref)) for name, ref in spec.inputs]
-    return link_ports, external_ports
 
 
 def elaborate(spec: NetworkSpec, steady: NetworkSteadyState | None = None):
@@ -673,20 +793,21 @@ def elaborate(spec: NetworkSpec, steady: NetworkSteadyState | None = None):
     """
     composites = build_elements(spec, steady)
     stacked = stack([c.model for c in composites])
-    conn = build_FG(stacked, *_wiring(spec, composites))
+    ports = {el.name: c.ports for el, c in zip(spec.elements, composites)}
+    conn = build_FG(stacked, *_wiring(spec, ports))
     return stacked, conn
 
 
 def build_closed(spec: NetworkSpec, steady: NetworkSteadyState | None = None):
-    """Build the element models and close them along their links into one labeled LTI model.
+    """Close the network along its links into one labeled LTI model.
 
-    interconnect.assemble does the closing; the model equals
-    close(*elaborate(spec, steady)) with the inputs named. steady is passed
-    on to build_elements.
+    Compiles the network and fills it once (CompiledNetwork.model): the
+    node rule over the whole graph, with no per-element models. The model
+    equals close(*elaborate(spec, steady)) with the inputs named. With
+    steady every pipe is linearized at steady.ops, else at its declared
+    nominal (see build_elements).
     """
-    composites = build_elements(spec, steady)
-    return assemble([c.model for c in composites], *_wiring(spec, composites),
-                    tuple(name for name, _ in spec.inputs))
+    return CompiledNetwork(spec).model(None if steady is None else steady.ops)
 
 
 def override_gain(spec: NetworkSpec, element_id: str, k: float) -> NetworkSpec:
@@ -699,7 +820,7 @@ def override_gain(spec: NetworkSpec, element_id: str, k: float) -> NetworkSpec:
             found = True
         new_elements.append(el)
     if not found:
-        raise ConfigurationError(f"no gain element named {element_id!r}")
+        raise _unknown_gain(element_id)
     return replace(spec, elements=tuple(new_elements))
 
 

@@ -144,9 +144,28 @@ def chain_text(n_pipes, rng):
     return "\n".join(lines) + "\n"
 
 
+def mesh_text(n_diamonds, rng):
+    """Diamonds D0..: branch B{i} -> two legs -> joint J{i} -> compressor K{i}."""
+    lines, links = ["gas Rs=518.28 z0=0.95 T0=300"], []
+    for i in range(n_diamonds):
+        a, b, c, d, e, f = (f"P{i}{x}" for x in "abcdef")
+        lines += [f"pipe {p} L={rng.uniform(900.0, 1100.0):.6g} d=0.7 eps=4.57e-5 Re=1.168e8"
+                  for p in (a, b, c, d, e, f)]
+        lines += [f"branch B{i} from={a} into=[{b},{c}]",
+                  f"joint J{i} feeds=[{d},{e}] into={f}",
+                  f"gain K{i} k={rng.uniform(1.0, 1.1):.4g}"]
+        if i:
+            links.append(f"link K{i - 1}.r B{i}.l")
+        links += [f"link B{i}.r1 J{i}.l1", f"link B{i}.r2 J{i}.l2", f"link J{i}.r K{i}.l"]
+    lines += ["nominal * pl=50e5 q=30", *links,
+              "input supply = B0.l", f"input draw = K{n_diamonds - 1}.r"]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture(scope="session")
 def oracle_specs(loop_spec):
-    """The loop, criterion 5's 50 random networks and a 200-pipe chain."""
+    """The loop, criterion 5's 50 random networks, a 200-pipe chain and a 10-diamond mesh."""
     rng = np.random.default_rng(2026)
     specs = [loop_spec] + [pn.parse(random_network_text(rng)) for _ in range(50)]
-    return specs + [pn.parse(chain_text(200, np.random.default_rng(7)))]
+    return specs + [pn.parse(chain_text(200, np.random.default_rng(7))),
+                    pn.parse(mesh_text(10, np.random.default_rng(5)))]

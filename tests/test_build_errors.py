@@ -1,0 +1,60 @@
+"""Error texts of the build path and the sweep, from .pipenet text.
+
+Each case goes through build_closed or stability_margin_sweep, so a
+refactor of either keeps the message a user sees.
+"""
+
+import numpy as np
+import pytest
+
+import pipenet as pn
+from pipenet.errors import ConfigurationError
+
+GAS = "gas Rs=518.28 z0=0.95 T0=300\n"
+
+
+def pipes(*names):
+    return "".join(f"pipe {n} L=10 d=0.7 lambda=0.01\n" for n in names)
+
+
+JOINT = (GAS + pipes("P1", "P2", "P3") + "joint J feeds=[P1,P2] into=P3\n"
+         "input a = J.l1\ninput b = J.l2\ninput c = J.r\n")
+BRANCH = (GAS + pipes("P0", "P1", "P2") + "branch B from=P0 into=[P1,P2]\n"
+          "input a = B.l\ninput b = B.r1\ninput c = B.r2\n")
+SERIES = GAS + pipes("A", "B") + "series S pipes=[A,B]\ninput a = S.l\ninput b = S.r\n"
+GAIN_AT_END = (GAS + pipes("P") + "gain G k=2\nnominal * pl=25e5 q=21\n"
+               "link P.r G.l\ninput up = P.l\ninput uq = G.r\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    (SERIES + "nominal * pl=25e5 q=0\n", "composite requires positive nominal flow"),
+    (JOINT + "nominal P1 pl=25e5 q=10\nnominal P2 pl=25e5 q=10\nnominal P3 pl=25e5 q=25\n",
+     "inconsistent nominals: joint requires q0_ss = q1_ss + q2_ss"),
+    (JOINT + "nominal P1 pl=25e5 q=10\nnominal P2 pl=30e5 q=10\nnominal P3 pl=25e5 q=20\n",
+     "inconsistent nominals: joint requires p1_r_ss = p2_r_ss"),
+    (BRANCH + "nominal P0 pl=25e5 q=20\nnominal P1 pl=25e5 q=10\nnominal P2 pl=25e5 q=5\n",
+     "inconsistent nominals: branch requires q0_ss = q1_ss + q2_ss"),
+    (SERIES + "nominal A pl=25e5 q=21\nnominal B pl=25e5 q=20\n",
+     "inconsistent nominals: series requires equal flow"),
+    (SERIES + "nominal A pl=25e5 q=21\nnominal B pl=30e5 q=21\n",
+     "inconsistent nominals: series requires chained pressures"),
+    (SERIES + "nominal A pl=25e5 q=21\n", "no nominal point for pipe 'B'"),
+])
+def test_build_closed_error_text(text, message):
+    with pytest.raises(ConfigurationError) as err:
+        pn.build_closed(pn.parse(text))
+    assert str(err.value) == message
+
+
+def test_sweep_to_zero_gain():
+    spec = pn.parse(GAIN_AT_END)
+    with pytest.raises(ConfigurationError) as err:
+        pn.stability_margin_sweep(spec, "G", np.array([1.0, 0.0]))
+    assert str(err.value) == "gain k must be nonzero"
+
+
+def test_sweep_of_unknown_element():
+    spec = pn.parse(GAIN_AT_END)
+    with pytest.raises(ConfigurationError) as err:
+        pn.stability_margin_sweep(spec, "K", np.array([1.0]))
+    assert str(err.value) == "no gain element named 'K'"

@@ -170,3 +170,10 @@ def test_steady_state_keeps_balanced_flows():
     assert a.p_l_ss == 25e5
     assert b.p_l_ss == a.p_r_ss  # propagated, not B's declared pl
     assert steady.unmet == ()
+
+
+def test_nominal_of_unknown_pipe_positioned():
+    text = MINI + "nominal Q9 pl=25e5 q=21\n"
+    with pytest.raises(ParseError, match="nominal names unknown pipe 'Q9'") as err:
+        netspec.parse(text)
+    assert err.value.line == 6
