@@ -32,6 +32,9 @@ from .interconnect import ConnectionMatrices, StackedSystem, close
 
 RESOLVENT_CONDITION_LIMIT = 1e12
 
+# largest stack of A matrices a gain sweep hands to one eigenvalue call
+_EIG_STACK_BYTES = 1 << 25
+
 
 @dataclass(frozen=True)
 class FrequencyResponse:
@@ -46,11 +49,16 @@ class FrequencyResponse:
 
 def eigenvalues(model: StateSpaceModel) -> np.ndarray:
     """All eigenvalues of the system matrix A."""
-    if model.n_states < 1:
+    return np.linalg.eigvals(_checked_system_matrix(model.A))
+
+
+def _checked_system_matrix(A: np.ndarray) -> np.ndarray:
+    """A, or a stack of them along the first axis, if it has states and finite entries."""
+    if A.shape[-1] < 1:
         raise ConfigurationError("model has no states")
-    if not np.all(np.isfinite(model.A)):
+    if not np.all(np.isfinite(A)):
         raise NumericalError("non-finite entries in A")
-    return np.linalg.eigvals(model.A)
+    return A
 
 
 def dc_gain(model: StateSpaceModel) -> np.ndarray:
@@ -185,8 +193,10 @@ def stability_margin_sweep(spec, gain_element_id: str, k_values) -> np.ndarray:
 
     Compiles the network description once (netspec.CompiledNetwork) and
     fills it for each k in k_values: every pipe is linearized at the
-    gain-aware operating point of netspec.network_steady_state, then the
-    model is refilled. The constraints those points leave unmet (a ring
+    gain-aware operating point of netspec.network_steady_state, then A is
+    refilled (no labelled model is built). The A matrices are stacked and
+    their eigenvalues taken in one call, in stacks of at most
+    _EIG_STACK_BYTES. The constraints those points leave unmet (a ring
     whose gains admit no steady state, say) are reported in one
     NominalWarning per sweep.
     """
@@ -195,12 +205,17 @@ def stability_margin_sweep(spec, gain_element_id: str, k_values) -> np.ndarray:
     net = netspec.CompiledNetwork(spec)
     out = np.empty(len(k_values))
     unmet = []  # (k, first unmet constraint) for each step that has one
-    for i, k in enumerate(k_values):
+    stack = []  # A of the steps whose eigenvalues are not yet taken
+    for i, k in enumerate(k_values, start=1):
         gains = net.gains_with(gain_element_id, float(k))
         steady = net.steady_state(gains)
-        out[i] = float(np.max(eigenvalues(net.model(steady.ops, gains)).real))
+        stack.append(net._fill(steady.ops, gains)[0])
         if steady.unmet:
             unmet.append((float(k), steady.unmet[0]))
+        if i == len(out) or len(stack) * stack[0].nbytes >= _EIG_STACK_BYTES:
+            A = _checked_system_matrix(np.stack(stack))
+            out[i - len(stack):i] = np.linalg.eigvals(A).real.max(axis=1)
+            stack.clear()
     if unmet:
         k, first = unmet[0]
         warnings.warn(f"unmet steady-state constraints at {len(unmet)} of {len(out)} "

@@ -158,9 +158,8 @@ def element_signals(kind: str, member_ids):
 
 def _scatter(shape, flat, values) -> np.ndarray:
     """Dense array that sums values at the flat positions, in the order given."""
-    out = np.zeros(shape[0] * shape[1])
-    np.add.at(out, flat, values)
-    return out.reshape(shape)
+    out = np.bincount(flat, values, minlength=shape[0] * shape[1])
+    return out.astype(float, copy=False).reshape(shape)  # no positions: bincount gives ints
 
 
 class NodeRule:

@@ -31,6 +31,15 @@ def haaland_lambda(eps: float, d: float, Re: float) -> float:
     return 1.0 / inv_sqrt**2
 
 
+def friction_factor(lam: float | None, eps: float, d: float, Re: float | None) -> float:
+    """lam if given, else Haaland's lambda for roughness eps, diameter d and Reynolds number Re."""
+    if lam is not None:
+        return lam
+    if Re is None:
+        raise ConfigurationError("pipe needs either an explicit lambda or a Reynolds number")
+    return haaland_lambda(eps, d, Re)
+
+
 def resolve_lambda(params: PipeParams, Re: float | None = None) -> PipeParams:
     """Return params with the friction factor filled in.
 
@@ -39,6 +48,4 @@ def resolve_lambda(params: PipeParams, Re: float | None = None) -> PipeParams:
     """
     if params.lam is not None:
         return params
-    if Re is None:
-        raise ConfigurationError("pipe needs either an explicit lambda or a Reynolds number")
-    return replace(params, lam=haaland_lambda(params.eps, params.d, Re))
+    return replace(params, lam=friction_factor(None, params.eps, params.d, Re))

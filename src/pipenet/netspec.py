@@ -47,7 +47,7 @@ from .composites import (JUNCTIONS, NOMINAL_RTOL, CompositeModel, NodeRule, chec
                          make_pipe, make_series, port_ends)
 from .core import GasProperties, OperatingPoint, PipeParams, SignalLabel, StateSpaceModel
 from .errors import ConfigurationError, ParseError
-from .friction import resolve_lambda
+from .friction import friction_factor
 # close stays importable here although nothing here calls it: perfbench/tracer.py wraps
 # netspec.close, netspec.stack and netspec.build_FG by name
 from .interconnect import (ConnectionMatrices, StackedSystem, _drivers, build_FG,  # noqa: F401
@@ -442,9 +442,9 @@ def _render_nominal(n: NominalDecl) -> str:
 
 
 def _pipe_params(decl: PipeDecl) -> PipeParams:
-    params = PipeParams(L=decl.L, d=decl.d, d_out=decl.dout, eps=decl.eps,
-                        h=decl.dh, lam=decl.lam, k_rad=decl.krad)
-    return resolve_lambda(params, decl.Re)
+    lam = friction_factor(decl.lam, decl.eps, decl.d, decl.Re)
+    return PipeParams(L=decl.L, d=decl.d, d_out=decl.dout, eps=decl.eps,
+                      h=decl.dh, lam=lam, k_rad=decl.krad)
 
 
 def _nominal(spec: NetworkSpec, pid: str) -> tuple[NominalDecl, bool]:
@@ -705,12 +705,11 @@ class CompiledNetwork:
         rule = NodeRule([(kind, len(ids)) for kind, ids in kinds], drivers, len(externals))
         return tuple(states), tuple(name for name, _ in spec.inputs), tuple(outputs), rule
 
-    def model(self, ops=None, gains=None) -> StateSpaceModel:
-        """The closed network model at ops and gains (default: declared nominals and gains).
+    def _fill(self, ops=None, gains=None):
+        """A, B, C and D of the closed network at ops and gains (see model).
 
         Checks each element as make_* would (members_at), then fills the
-        node rule. Equals close(*elaborate(spec, steady)) with the inputs
-        named, where steady carries ops.
+        node rule.
         """
         gains = self.gains if gains is None else gains
         pipes, g = [], 0
@@ -721,9 +720,16 @@ class CompiledNetwork:
             else:
                 check_members(_KIND[type(el)], [op for _, op in members], check)
                 pipes += members
-        states, inputs, outputs, rule = self._closure
-        A, B, C, D, _ = rule.fill(pipes, self.spec.gas, gains)
-        return StateSpaceModel(A, B, C, D, states, inputs, outputs)
+        return self._closure[3].fill(pipes, self.spec.gas, gains)[:4]
+
+    def model(self, ops=None, gains=None) -> StateSpaceModel:
+        """The closed network model at ops and gains (default: declared nominals and gains).
+
+        The labelled form of _fill. Equals close(*elaborate(spec, steady))
+        with the inputs named, where steady carries ops.
+        """
+        states, inputs, outputs, _ = self._closure
+        return StateSpaceModel(*self._fill(ops, gains), states, inputs, outputs)
 
 
 def network_steady_state(spec: NetworkSpec) -> NetworkSteadyState:

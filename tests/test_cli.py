@@ -85,6 +85,12 @@ def test_sweep_csv(loop_file, capsys):
     assert len(lines) == 4
 
 
+def test_sweep_of_no_gains_prints_header_only(loop_file, capsys):
+    assert run(["sweep", loop_file, "--element", "C",
+                "--kmin", "4", "--kmax", "8", "--n", "0"]) == 0
+    assert capsys.readouterr().out == "k,max_re\n"
+
+
 def test_malformed_file_exit_one(tmp_path, capsys):
     bad = tmp_path / "bad.pipenet"
     bad.write_text("pipe P L=1\n")

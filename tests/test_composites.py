@@ -188,3 +188,18 @@ def test_node_rule_equals_interconnection(gas, kind):
         _assert_rel(m.B, closed.B[perm])
         _assert_rel(m.C, closed.C[np.ix_(rows, perm)])
         _assert_rel(m.D, closed.D[rows])
+
+
+def test_scatter_adds_like_add_at():
+    # repeated positions add in entry order from 0.0, as np.add.at does
+    rng = np.random.default_rng(3)
+    flat = rng.integers(0, 12, size=60)
+    values = rng.normal(size=60) * 10.0 ** rng.integers(-8, 8, size=60)
+    values[::7] = -0.0
+    ref = np.zeros(12)
+    np.add.at(ref, flat, values)
+    got = composites._scatter((3, 4), flat, values)
+    assert got.shape == (3, 4)
+    assert got.tobytes() == ref.reshape(3, 4).tobytes()
+    empty = composites._scatter((2, 3), np.zeros(0, np.intp), np.zeros(0))
+    assert empty.dtype == float and not empty.any()

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import pipenet as pn
-from pipenet import analysis, interconnect, netspec
+from pipenet import analysis, core, interconnect, netspec
 from pipenet.errors import NominalWarning
 
 GAIN_CHAIN_TEXT = """\
@@ -73,6 +73,32 @@ def test_sweep_equals_rebuild_per_gain(loop_spec, text, element, ks):
         warnings.simplefilter("ignore", NominalWarning)
         got = analysis.stability_margin_sweep(spec, element, ks)
     assert np.array_equal(got, margins_from_scratch(spec, element, ks))
+
+
+def test_sweep_in_stacks_of_one_equals_one_stack(loop_spec, monkeypatch):
+    ks = np.linspace(4.0, 100.0, 9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NominalWarning)
+        one_stack = analysis.stability_margin_sweep(loop_spec, "C", ks)
+        monkeypatch.setattr(analysis, "_EIG_STACK_BYTES", 1)
+        per_step = analysis.stability_margin_sweep(loop_spec, "C", ks)
+    assert np.array_equal(one_stack, per_step)
+
+
+def test_sweep_builds_no_labelled_model(loop_spec, monkeypatch):
+    built = []
+    init = core.StateSpaceModel.__post_init__
+    monkeypatch.setattr(core.StateSpaceModel, "__post_init__",
+                        lambda self: built.append(1) or init(self))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NominalWarning)
+        analysis.stability_margin_sweep(loop_spec, "C", np.linspace(4.0, 100.0, 5))
+    assert built == []
+
+
+def test_sweep_of_no_gains_is_empty(loop_spec):
+    got = analysis.stability_margin_sweep(loop_spec, "C", [])
+    assert isinstance(got, np.ndarray) and got.shape == (0,)
 
 
 def test_sweep_warns_as_before(loop_spec):
