@@ -13,10 +13,15 @@ i w I - A once per frequency (scipy's SuperLU), so its cost follows the
 nonzeros of A. transfer_at is the dense single-point evaluation that
 mason_check and the tests use as the reference.
 
-Singularity tests use one dense LU (_factor): a matrix is rejected on an
-exactly zero pivot or when LAPACK's 1-norm estimate of its reciprocal
-condition number is below 1/RESOLVENT_CONDITION_LIMIT; the same LU then
-solves.
+Singularity tests use one dense LU (_lu), which then also solves. Every
+test rejects an exactly zero pivot. The DC gain is undefined when A has an
+eigenvalue at zero: A is rejected when its eigenvalue nearest zero, taken
+by Arnoldi on A^-1 with that LU (_min_eigenvalue_modulus), is within
+machine epsilon times ||A||_1 of zero, that is within the rounding of A's
+own entries. The test does not follow cond(A), which grows with the
+length of a chain of compressors while the model stays well posed.
+mason_check rejects I - Q when LAPACK's 1-norm estimate of its reciprocal
+condition number is below 1/RESOLVENT_CONDITION_LIMIT (_factor).
 """
 
 from __future__ import annotations
@@ -31,6 +36,9 @@ from .errors import ConfigurationError, NominalWarning, NumericalError
 from .interconnect import ConnectionMatrices, StackedSystem, close
 
 RESOLVENT_CONDITION_LIMIT = 1e12
+
+# Arnoldi steps that estimate the eigenvalue of A nearest zero
+_ARNOLDI_STEPS = 20
 
 # largest stack of A matrices a gain sweep hands to one eigenvalue call
 _EIG_STACK_BYTES = 1 << 25
@@ -73,37 +81,82 @@ def dc_gain_to_states(model: StateSpaceModel) -> np.ndarray:
 
     Composite elements expose only their boundary outputs; interior flows
     (e.g. every pipe's q_l in a closed network) remain visible as states,
-    so flow tables are read off here. A near-singular A (_factor) is
-    reported as a pole at zero.
+    so flow tables are read off here. A is reported to have a pole at
+    zero on an exactly zero pivot of its LU, or when its eigenvalue
+    nearest zero has |lambda| <= eps ||A||_1 (eps = machine epsilon).
     """
     if model.n_states == 0:
         raise ConfigurationError("model has no states")
     from scipy.linalg import lu_solve  # deferred: import pipenet loads numpy only
 
-    lu = _factor(model.A, NumericalError("system has a pole at zero; DC gain undefined"))
+    pole = NumericalError("system has a pole at zero; DC gain undefined")
+    lu = _lu(model.A, pole)
+    if not _min_eigenvalue_modulus(lu) > np.finfo(float).eps * np.linalg.norm(model.A, 1):
+        raise pole
     return -lu_solve(lu, model.B, check_finite=False)
 
 
-def _factor(M: np.ndarray, error: NumericalError):
-    """LU factors of M (scipy.linalg.lu_factor), or raise error if M is near singular.
-
-    Near singular: an exactly zero pivot, or a reciprocal 1-norm condition
-    number, estimated by LAPACK ?gecon from the same LU, below
-    1/RESOLVENT_CONDITION_LIMIT (nan included).
-    """
-    from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor
+def _lu(M: np.ndarray, error: NumericalError):
+    """LU factors of M (scipy.linalg.lu_factor), or raise error on an exactly zero pivot."""
+    from scipy.linalg import LinAlgWarning, lu_factor
 
     with warnings.catch_warnings():
         warnings.simplefilter("error", LinAlgWarning)  # lu_factor warns on a zero pivot
         try:
-            lu, piv = lu_factor(M, check_finite=False)
+            return lu_factor(M, check_finite=False)
         except LinAlgWarning:
             raise error from None
+
+
+def _factor(M: np.ndarray, error: NumericalError):
+    """_lu(M, error), also raising error if M is near singular.
+
+    Near singular: a reciprocal 1-norm condition number, estimated by
+    LAPACK ?gecon from the same LU, below 1/RESOLVENT_CONDITION_LIMIT
+    (nan included).
+    """
+    from scipy.linalg import get_lapack_funcs
+
+    lu, piv = _lu(M, error)
     gecon, = get_lapack_funcs(("gecon",), (lu,))
     rcond, _ = gecon(lu, np.linalg.norm(M, 1))
     if not rcond >= 1.0 / RESOLVENT_CONDITION_LIMIT:
         raise error
     return lu, piv
+
+
+def _min_eigenvalue_modulus(lu) -> float:
+    """|lambda| of the eigenvalue nearest zero of the matrix with LU factors lu.
+
+    Arnoldi on the inverse, one lu_solve per step, from a fixed random
+    vector, for at most _ARNOLDI_STEPS steps: the largest Ritz value of
+    the inverse converges first to its largest eigenvalue, 1/lambda. With
+    at most _ARNOLDI_STEPS states the Krylov space is the whole space and
+    the result is exact up to rounding. A solve that overflows returns 0.
+    """
+    from scipy.linalg import lu_solve  # deferred: import pipenet loads numpy only
+
+    n = lu[0].shape[0]
+    m = min(n, _ARNOLDI_STEPS)
+    V = np.empty((m, n))
+    H = np.zeros((m, m))
+    v = np.random.default_rng(0).standard_normal(n)
+    V[0] = v / np.linalg.norm(v)
+    for j in range(m):
+        w = lu_solve(lu, V[j], check_finite=False)
+        if not np.all(np.isfinite(w)):
+            return 0.0
+        for _ in range(2):  # classical Gram-Schmidt, repeated once for orthogonality
+            h = V[:j + 1] @ w
+            w -= h @ V[:j + 1]
+            H[:j + 1, j] += h
+        beta = np.linalg.norm(w)
+        if j + 1 == m or beta == 0.0:  # beta = 0: the Krylov space is invariant
+            break
+        H[j + 1, j] = beta
+        V[j + 1] = w / beta
+    k = j + 1
+    return 1.0 / np.abs(np.linalg.eigvals(H[:k, :k])).max()
 
 
 def _singular_resolvent(s: complex) -> NumericalError:

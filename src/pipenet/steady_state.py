@@ -21,6 +21,14 @@ the test suite a solve takes at most five evaluations of update. For
 reverse flow g is strictly increasing and concave, so Newton climbs to
 the unique root from below. Bisection on [p_l^(T_l/T_r)/2, 2 p_l^(T_l/T_r)]
 takes over if an iterate leaves (0, inf) or the iteration limit runs out.
+
+Strong reverse flow can defeat both: Newton from p_l^(T_l/T_r) climbs the
+exponent about one unit per step, and exp overflows on the way or at the
+bracket. If so, the exact relation is solved in y = ln p_r instead, where
+it reads h(y) = y - ln base + grav + c e^(-2y) = 0 with c < 0; h is
+strictly increasing and concave, so Newton from its lower bound
+y = ln base - grav climbs to the unique root without overflow. Newton
+on p_r from that root then restores the bits that ln p_r cannot hold.
 """
 
 from __future__ import annotations
@@ -103,7 +111,31 @@ def exact_nominal_pr(p_l_ss: float, q_ss: float, T_l_ss: float, T_r_ss: float,
     def slope(p_r, u):
         return 2.0 * c * u / p_r**3
 
-    return _newton_root(update, slope, base)
+    try:
+        return _newton_root(update, slope, base)
+    except (NumericalError, OverflowError):
+        if c >= 0.0:
+            raise NumericalError("steady-state solve diverged") from None
+    # ln p_r carries fewer significant bits than p_r; Newton on p_r restores them
+    return _newton_root(update, slope, _log_root(base, c, grav))
+
+
+def _log_root(base: float, c: float, grav: float) -> float:
+    """Root of the exact relation for c < 0 by Newton's method in y = ln p_r.
+
+    h(y) = y - y0 + c e^(-2y) with y0 = ln base - grav. Since c < 0,
+    h(y0) < 0 and h is increasing and concave, so every Newton step stays
+    at or below the root and |c| e^(-2y) never exceeds its value at y0.
+    """
+    y0 = math.log(base) - grav
+    y = y0
+    for _ in range(_MAX_ITER):
+        e = c * math.exp(-2.0 * y)
+        step = (y - y0 + e) / (1.0 - 2.0 * e)
+        y -= step
+        if abs(step) <= _REL_TOL:
+            return math.exp(y)
+    raise NumericalError("steady-state solve diverged")
 
 
 def approx_nominal_pr(p_l_ss: float, q_ss: float, T_l_ss: float, T_r_ss: float,

@@ -10,6 +10,8 @@ from pipenet import analysis, composites, interconnect, pipe_dynamics
 from pipenet.core import StateSpaceModel
 from pipenet.errors import ConfigurationError, NominalWarning, NumericalError
 
+from conftest import chain_text
+
 
 def test_pipe_dc_gain_closed_form(pipe_params, op, gas):
     c = pipe_dynamics.iso_coefficients(pipe_params, op, gas)
@@ -151,3 +153,53 @@ def test_import_loads_numpy_only():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_dc_gain_of_long_compressor_chain():
+    # cond(A) grows with the compressors (rcond_1 ~ 8e-14) while the eigenvalue
+    # nearest zero, ~5e-9, stays far above eps ||A||_1 ~ 2e-13
+    model = pn.build_closed(pn.parse(chain_text(1500, np.random.default_rng(7))))
+    X = analysis.dc_gain_to_states(model)
+    residual = np.abs(model.A @ X + model.B).max()
+    assert residual <= 1e-12 * np.abs(model.A).max() * np.abs(X).max()
+
+
+RING_TEXT = """\
+gas Rs=518.28 z0=0.95 T0=300
+pipe P1 L=10 d=0.7 eps=4.57e-5 Re=1.168e8
+pipe P2 L=37 d=0.5 eps=4.57e-5 Re=1.168e8
+gain K k=1.3
+link P1.r K.l
+link K.r P2.l
+link P2.r P1.l
+nominal * pl=25e5 q=21
+"""
+
+
+def test_dc_gain_ring_has_pole_at_zero():
+    # a closed ring keeps its mass: A is singular, yet no pivot is exactly zero
+    from scipy.linalg import lu_factor
+    model = pn.build_closed(pn.parse(RING_TEXT))
+    assert np.abs(np.diag(lu_factor(model.A)[0])).min() > 0.0
+    with pytest.raises(NumericalError, match="pole at zero"):
+        analysis.dc_gain_to_states(model)
+
+
+def test_dc_gain_does_not_follow_units():
+    # eigenvalues -1 +- i for every s; s = 1e7 (as between Pa and kg/s) gives
+    # cond_1(A) ~ 5e13, which the condition test took for a pole at zero
+    s = 1e7
+    A = np.array([[-1.0, s], [-1.0 / s, -1.0]])
+    m = StateSpaceModel(A, np.eye(2), np.eye(2), np.zeros((2, 2)),
+                        ("p", "q"), ("u", "v"), ("p", "q"))
+    expected = -np.array([[-1.0, -s], [1.0 / s, -1.0]]) / 2.0  # -A^-1
+    assert np.allclose(analysis.dc_gain_to_states(m), expected, rtol=1e-14, atol=0.0)
+
+
+def test_min_eigenvalue_modulus_matches_dense(oracle_specs):
+    for spec in oracle_specs:
+        A = pn.build_closed(spec).A
+        if A.size == 0:
+            continue
+        est = analysis._min_eigenvalue_modulus(analysis._lu(A, NumericalError()))
+        assert est == pytest.approx(np.abs(np.linalg.eigvals(A)).min(), rel=1e-6)

@@ -116,3 +116,23 @@ def test_precision_env(loop_file, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "0.184" in out
     assert "0.1839" not in out
+
+
+@pytest.mark.parametrize("flag, value", [("--dt", "0"), ("--dt", "nan"), ("--dt", "-0.5"),
+                                         ("--T", "-1"), ("--T", "nan")])
+def test_sim_rejects_bad_grid(loop_file, capsys, flag, value):
+    args = {"--dt": "0.01", "--T": "0.1", flag: value}
+    assert run(["sim", loop_file, "--dt", args["--dt"], "--T", args["--T"]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} must be a positive finite number")
+
+
+def test_strong_reverse_flow_builds(tmp_path, capsys):
+    # the exit-pressure solve overflows exp in its first two methods
+    path = tmp_path / "reverse.pipenet"
+    path.write_text("gas Rs=518.28 z0=0.95 T0=300\n"
+                    "pipe P L=20000 d=0.7 eps=4.57e-5 Re=1.168e8\n"
+                    "nominal * pl=25e5 q=-3000\n"
+                    "input pl = P.l\ninput qr = P.r\n")
+    assert run(["build", str(path)]) == 0
+    assert "states=2 inputs=2 outputs=2" in capsys.readouterr().out

@@ -129,3 +129,12 @@ def test_solves_take_few_evaluations(oracle_specs, loop_spec, monkeypatch):
     assert len(counts) > 490
     assert max(counts) <= 6
     assert max(residuals) <= 4.0
+
+
+@pytest.mark.parametrize("L, q", [(20000.0, -2800.0), (20000.0, -3000.0), (20.0, -1e5)])
+def test_reverse_flow_past_exp_overflow_has_a_root(gas, ref_lambda, L, q):
+    # Newton and bisection on p_r both overflow exp; the solve in ln p_r does not
+    params = pn.PipeParams(L=L, d=0.7, lam=ref_lambda)
+    p_r = steady_state.exact_nominal_pr(25e5, q, 300.0, 300.0, params, gas)
+    assert p_r > 2 * 25e5
+    assert implicit_residual(p_r, 25e5, q, 300.0, 300.0, params, gas) <= 1e-15
