@@ -378,9 +378,11 @@ def check_members(kind: str, ops, check_nominal: bool):
 
 
 def check_gain(k: float):
-    """Raise the ConfigurationError of make_gain for k."""
+    """Raise the ConfigurationError of make_gain for k: it must be finite and nonzero."""
     if k == 0.0:
         raise ConfigurationError("gain k must be nonzero")
+    if not math.isfinite(k):
+        raise ConfigurationError(f"gain k must be finite, got {k!r}")
 
 
 def make_pipe(params: PipeParams, op: OperatingPoint, gas: GasProperties,

@@ -12,7 +12,13 @@ ignored, and each statement is one line:
     nominal <id|*> pl=<f> q=<f> [Tl=<f>] [Tr=<f>]
     link <elem>.<port> <elem>.<port>
     input <name> = <elem>.<port>
-    output <name> = <signal-label>
+
+One statement table drives parse and render: a NUMBERS row gives the
+keys of pipe, gain and nominal (each takes a number), a COMPOSITES row
+the keys of joint, branch and series (each takes pipe ids). Every
+element declaration carries its kind and its member pipes, which is
+all the element dispatch reads. Outputs are not declared in the text;
+`pipenet build --select` chooses them.
 
 Links name a right-flange port first and a left-flange port second.
 Pipes consumed by a joint, branch or series are parameter donors only;
@@ -71,31 +77,20 @@ class PipeDecl:
     Re: float | None = None
     krad: float = 0.0
 
+    kind = "pipe"  # every element declaration has a kind and its member pipe ids
+
+    @property
+    def members(self) -> tuple[str, ...]:
+        return (self.name,)
+
 
 @dataclass(frozen=True)
 class GainDecl:
     name: str
     k: float
 
-
-@dataclass(frozen=True)
-class JointDecl:
-    name: str
-    feeds: tuple[str, str]
-    into: str
-
-
-@dataclass(frozen=True)
-class BranchDecl:
-    name: str
-    from_: str
-    into: tuple[str, str]
-
-
-@dataclass(frozen=True)
-class SeriesDecl:
-    name: str
-    pipes: tuple[str, ...]
+    kind = "gain"
+    members = ()
 
 
 @dataclass(frozen=True)
@@ -105,6 +100,38 @@ class NominalDecl:
     q: float
     Tl: float | None = None
     Tr: float | None = None
+
+
+# keyword -> (declaration class, text key -> field in text order, required keys)
+NUMBERS = {
+    "pipe": (PipeDecl, {"L": "L", "d": "d", "dout": "dout", "eps": "eps", "dh": "dh",
+                        "lambda": "lam", "Re": "Re", "krad": "krad"}, ("L", "d")),
+    "gain": (GainDecl, {"k": "k"}, ("k",)),
+    "nominal": (NominalDecl, {"pl": "pl", "q": "q", "Tl": "Tl", "Tr": "Tr"}, ("pl", "q")),
+}
+
+# keyword -> (text key -> pipe count in text order, 0 for any; the keys in the
+# member order that make_<keyword> takes). A key of count 1 takes a bare id,
+# any other a bracketed list.
+COMPOSITES = {
+    "joint": ({"feeds": 2, "into": 1}, ("into", "feeds")),
+    "branch": ({"from": 1, "into": 2}, ("from", "into")),
+    "series": ({"pipes": 0}, ("pipes",)),
+}
+
+
+@dataclass(frozen=True)
+class CompositeDecl:
+    kind: str                            # a COMPOSITES keyword
+    name: str
+    pipes: tuple[tuple[str, ...], ...]   # pipe ids of each key, in text order
+
+    @cached_property  # read at every fill of a gain sweep
+    def members(self) -> tuple[str, ...]:
+        """Pipe ids in the order make_<kind> takes them."""
+        counts, order = COMPOSITES[self.kind]
+        by_key = dict(zip(counts, self.pipes))
+        return tuple(pid for key in order for pid in by_key[key])
 
 
 @dataclass(frozen=True)
@@ -126,7 +153,6 @@ class NetworkSpec:
     nominals: dict[str, NominalDecl]     # per-id nominals; '*' is the default
     links: tuple[tuple[PortRef, PortRef], ...]
     inputs: tuple[tuple[str, PortRef], ...]
-    outputs: tuple[tuple[str, str], ...]
 
 
 def _fmt(x: float) -> str:
@@ -151,18 +177,11 @@ def _parse_kv(tokens, line, allowed, required):
             raise ParseError(f"unknown key {key!r}", line)
         if key in out:
             raise ParseError(f"duplicate key {key!r}", line)
-        out[key] = (val, line)
+        out[key] = val
     for key in required:
         if key not in out:
             raise ParseError(f"missing required key {key!r}", line)
     return out
-
-
-def _kv_float(kv, key, default=None):
-    if key not in kv:
-        return default
-    val, line = kv[key]
-    return _parse_float(val, line, key)
 
 
 def _parse_id(tok: str, line: int) -> str:
@@ -191,34 +210,34 @@ def _parse_portref(tok: str, line: int) -> PortRef:
     return PortRef(elem, port)
 
 
+def _parse_decl(kind: str, name: str, args, line: int):
+    """The declaration of one NUMBERS or COMPOSITES statement, from its row."""
+    if kind in NUMBERS:
+        cls, keys, required = NUMBERS[kind]
+        kv = _parse_kv(args, line, keys, required)
+        return cls(name, **{field: _parse_float(kv[key], line, key)
+                            for key, field in keys.items() if key in kv})
+    counts = COMPOSITES[kind][0]
+    kv = _parse_kv(args, line, counts, counts)
+    pipes = []
+    for key, count in counts.items():
+        ids = (_parse_id(kv[key], line),) if count == 1 else _parse_id_list(kv[key], line, key)
+        if count and len(ids) != count:
+            raise ParseError(f"{key} expects exactly {count} pipes", line)
+        pipes.append(ids)
+    return CompositeDecl(kind, name, tuple(pipes))
+
+
 def parse(text: str) -> NetworkSpec:
     """Parse a `.pipenet` document into a validated NetworkSpec."""
     gas_kv = None
     pipes: dict[str, PipeDecl] = {}
-    elements = []
-    element_names: dict[str, object] = {}
+    elements: dict[str, object] = {}  # every declared element and pipe, by name, in order
     nominals: dict[str, NominalDecl] = {}
     nominal_lines: dict[str, int] = {}
     links = []
     inputs = []
-    outputs = []
     consumed: dict[str, str] = {}  # pipe id -> consuming composite
-
-    def declare(decl, line):
-        if decl.name in element_names or decl.name in pipes:
-            raise ParseError(f"duplicate element {decl.name!r}", line)
-        element_names[decl.name] = decl
-        elements.append(decl)
-
-    def consume(pid, owner, line):
-        decl = pipes.get(pid)
-        if decl is None:
-            raise ParseError(f"unknown pipe {pid!r}", line)
-        if pid in consumed:
-            raise ParseError(
-                f"pipe {pid!r} already used by {consumed[pid]!r}", line)
-        consumed[pid] = owner
-        return decl
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stmt = raw.split("#", 1)[0].strip()
@@ -231,80 +250,34 @@ def parse(text: str) -> NetworkSpec:
             if gas_kv is not None:
                 raise ParseError("duplicate gas block", lineno)
             gas_kv = _parse_kv(args, lineno, {"Rs", "z0", "T0", "cv", "Tamb"},
-                               {"Rs", "z0", "T0"})
-        elif kind == "pipe":
-            if not args:
-                raise ParseError("pipe needs a name", lineno)
-            name = _parse_id(args[0], lineno)
-            kv = _parse_kv(args[1:], lineno,
-                           {"L", "d", "dout", "eps", "dh", "lambda", "Re", "krad"},
-                           {"L", "d"})
-            decl = PipeDecl(name, _kv_float(kv, "L"), _kv_float(kv, "d"),
-                            dout=_kv_float(kv, "dout"),
-                            eps=_kv_float(kv, "eps", 0.0),
-                            dh=_kv_float(kv, "dh", 0.0),
-                            lam=_kv_float(kv, "lambda"),
-                            Re=_kv_float(kv, "Re"),
-                            krad=_kv_float(kv, "krad", 0.0))
-            declare(decl, lineno)
-            pipes[name] = decl
-        elif kind == "gain":
-            if not args:
-                raise ParseError("gain needs a name", lineno)
-            name = _parse_id(args[0], lineno)
-            kv = _parse_kv(args[1:], lineno, {"k"}, {"k"})
-            decl = GainDecl(name, _kv_float(kv, "k"))
-            declare(decl, lineno)
-        elif kind == "joint":
-            if not args:
-                raise ParseError("joint needs a name", lineno)
-            name = _parse_id(args[0], lineno)
-            kv = _parse_kv(args[1:], lineno, {"feeds", "into"}, {"feeds", "into"})
-            feeds = _parse_id_list(kv["feeds"][0], lineno, "feeds")
-            if len(feeds) != 2:
-                raise ParseError("joint feeds exactly two pipes", lineno)
-            into = _parse_id(kv["into"][0], lineno)
-            decl = JointDecl(name, feeds, into)
-            declare(decl, lineno)
-            for pid in (*feeds, into):
-                consume(pid, name, lineno)
-        elif kind == "branch":
-            if not args:
-                raise ParseError("branch needs a name", lineno)
-            name = _parse_id(args[0], lineno)
-            kv = _parse_kv(args[1:], lineno, {"from", "into"}, {"from", "into"})
-            from_ = _parse_id(kv["from"][0], lineno)
-            into = _parse_id_list(kv["into"][0], lineno, "into")
-            if len(into) != 2:
-                raise ParseError("branch splits into exactly two pipes", lineno)
-            decl = BranchDecl(name, from_, into)
-            declare(decl, lineno)
-            for pid in (from_, *into):
-                consume(pid, name, lineno)
-        elif kind == "series":
-            if not args:
-                raise ParseError("series needs a name", lineno)
-            name = _parse_id(args[0], lineno)
-            kv = _parse_kv(args[1:], lineno, {"pipes"}, {"pipes"})
-            members = _parse_id_list(kv["pipes"][0], lineno, "pipes")
-            decl = SeriesDecl(name, members)
-            declare(decl, lineno)
-            for pid in members:
-                consume(pid, name, lineno)
+                               ("Rs", "z0", "T0"))
+            gas_line = lineno
         elif kind == "nominal":
             if not args:
                 raise ParseError("nominal needs a target", lineno)
-            target = args[0]
-            if target != "*":
-                target = _parse_id(target, lineno)
-            kv = _parse_kv(args[1:], lineno, {"pl", "q", "Tl", "Tr"}, {"pl", "q"})
+            target = args[0] if args[0] == "*" else _parse_id(args[0], lineno)
+            decl = _parse_decl(kind, target, args[1:], lineno)
             if target in nominals:
                 raise ParseError(f"duplicate nominal for {target!r}", lineno)
-            nominals[target] = NominalDecl(target, _kv_float(kv, "pl"),
-                                           _kv_float(kv, "q"),
-                                           Tl=_kv_float(kv, "Tl"),
-                                           Tr=_kv_float(kv, "Tr"))
+            nominals[target] = decl
             nominal_lines[target] = lineno
+        elif kind in NUMBERS or kind in COMPOSITES:
+            if not args:
+                raise ParseError(f"{kind} needs a name", lineno)
+            decl = _parse_decl(kind, _parse_id(args[0], lineno), args[1:], lineno)
+            if decl.name in elements:
+                raise ParseError(f"duplicate element {decl.name!r}", lineno)
+            elements[decl.name] = decl
+            if kind == "pipe":
+                pipes[decl.name] = decl
+            elif kind in COMPOSITES:
+                for pid in (pid for ids in decl.pipes for pid in ids):
+                    if pid not in pipes:
+                        raise ParseError(f"unknown pipe {pid!r}", lineno)
+                    if pid in consumed:
+                        raise ParseError(
+                            f"pipe {pid!r} already used by {consumed[pid]!r}", lineno)
+                    consumed[pid] = decl.name
         elif kind == "link":
             if len(args) != 2:
                 raise ParseError("link takes exactly two ports", lineno)
@@ -314,33 +287,28 @@ def parse(text: str) -> NetworkSpec:
                 raise ParseError(
                     "incompatible flanges: link is <right port> <left port>", lineno)
             links.append((a, b, lineno))
-        elif kind in ("input", "output"):
-            rest = stmt[len(kind):].strip()
-            name, eq, value = rest.partition("=")
+        elif kind == "input":
+            name, eq, value = stmt[len(kind):].partition("=")
             name, value = name.strip(), value.strip()
             if not eq or not name or not value:
-                raise ParseError(f"{kind} statement needs <name> = <target>", lineno)
-            name = _parse_id(name, lineno)
-            if kind == "input":
-                inputs.append((name, _parse_portref(value, lineno), lineno))
-            else:
-                outputs.append((name, value, lineno))
+                raise ParseError("input statement needs <name> = <target>", lineno)
+            inputs.append((_parse_id(name, lineno), _parse_portref(value, lineno), lineno))
         else:
             raise ParseError(f"unknown statement {kind!r}", lineno, column=1)
 
     if gas_kv is None:
         raise ParseError("no gas block")
-    gkv = {k: _kv_float(gas_kv, k) for k in gas_kv}
+    gkv = {k: _parse_float(v, gas_line, k) for k, v in gas_kv.items()}
     T0 = gkv["T0"]
     gas = GasProperties(R_s=gkv["Rs"], z_0=gkv["z0"],
                         c_v=gkv.get("cv", _DEFAULT_CV), T_0=T0,
                         T_amb=gkv.get("Tamb", T0))
 
     def check_portref(ref: PortRef, lineno: int):
-        decl = element_names.get(ref.element)
+        decl = elements.get(ref.element)
         if decl is None:
             raise ParseError(f"unknown element {ref.element!r}", lineno)
-        if isinstance(decl, PipeDecl) and ref.element in consumed:
+        if ref.element in consumed:
             raise ParseError(
                 f"pipe {ref.element!r} belongs to {consumed[ref.element]!r} "
                 f"and may not be referenced directly", lineno)
@@ -362,14 +330,24 @@ def parse(text: str) -> NetworkSpec:
             raise ParseError(f"nominal names unknown pipe {nom_target!r}", lineno)
 
     # pipes consumed by a composite are parameter donors, not elements
-    elements = [el for el in elements
-                if not (isinstance(el, PipeDecl) and el.name in consumed)]
-
-    return NetworkSpec(gas=gas, pipes=pipes, elements=tuple(elements),
+    return NetworkSpec(gas=gas, pipes=pipes,
+                       elements=tuple(el for name, el in elements.items()
+                                      if name not in consumed),
                        nominals=nominals,
                        links=tuple((a, b) for a, b, _ in links),
-                       inputs=tuple((n, r) for n, r, _ in inputs),
-                       outputs=tuple((n, v) for n, v, _ in outputs))
+                       inputs=tuple((n, r) for n, r, _ in inputs))
+
+
+def _render_numbers(kind: str, head: str, decl) -> str:
+    """One NUMBERS statement: the required keys, and every other key off its default."""
+    _, keys, required = NUMBERS[kind]
+    parts = [kind, head]
+    for key, field in keys.items():
+        value = getattr(decl, field)
+        # a dataclass keeps each field's default as a class attribute
+        if key in required or value != getattr(type(decl), field):
+            parts.append(f"{key}={_fmt(value)}")
+    return " ".join(parts)
 
 
 def render(spec: NetworkSpec) -> str:
@@ -377,68 +355,22 @@ def render(spec: NetworkSpec) -> str:
     g = spec.gas
     lines = [f"gas Rs={_fmt(g.R_s)} z0={_fmt(g.z_0)} T0={_fmt(g.T_0)} "
              f"cv={_fmt(g.c_v)} Tamb={_fmt(g.T_amb)}"]
-    emitted = set()
-
-    def emit_pipe(p: PipeDecl):
-        parts = [f"pipe {p.name} L={_fmt(p.L)} d={_fmt(p.d)}"]
-        if p.dout is not None:
-            parts.append(f"dout={_fmt(p.dout)}")
-        if p.eps:
-            parts.append(f"eps={_fmt(p.eps)}")
-        if p.dh:
-            parts.append(f"dh={_fmt(p.dh)}")
-        if p.lam is not None:
-            parts.append(f"lambda={_fmt(p.lam)}")
-        if p.Re is not None:
-            parts.append(f"Re={_fmt(p.Re)}")
-        if p.krad:
-            parts.append(f"krad={_fmt(p.krad)}")
-        lines.append(" ".join(parts))
-        emitted.add(p.name)
-
     for el in spec.elements:
-        if isinstance(el, GainDecl):
-            lines.append(f"gain {el.name} k={_fmt(el.k)}")
-        elif isinstance(el, JointDecl):
-            for pid in (*el.feeds, el.into):
-                if pid not in emitted:
-                    emit_pipe(spec.pipes[pid])
-            lines.append(f"joint {el.name} feeds=[{','.join(el.feeds)}] into={el.into}")
-        elif isinstance(el, BranchDecl):
-            for pid in (el.from_, *el.into):
-                if pid not in emitted:
-                    emit_pipe(spec.pipes[pid])
-            lines.append(f"branch {el.name} from={el.from_} into=[{','.join(el.into)}]")
-        elif isinstance(el, SeriesDecl):
-            for pid in el.pipes:
-                if pid not in emitted:
-                    emit_pipe(spec.pipes[pid])
-            lines.append(f"series {el.name} pipes=[{','.join(el.pipes)}]")
-        elif isinstance(el, PipeDecl):
-            emit_pipe(el)
-    for p in spec.pipes.values():
-        if p.name not in emitted:
-            emit_pipe(p)
-    if "*" in spec.nominals:
-        lines.append(_render_nominal(spec.nominals["*"]))
-    for target in sorted(t for t in spec.nominals if t != "*"):
-        lines.append(_render_nominal(spec.nominals[target]))
+        if el.kind in NUMBERS:
+            lines.append(_render_numbers(el.kind, el.name, el))
+            continue
+        parts = [el.kind, el.name]
+        for (key, count), ids in zip(COMPOSITES[el.kind][0].items(), el.pipes):
+            lines += [_render_numbers("pipe", pid, spec.pipes[pid]) for pid in ids]
+            parts.append(f"{key}={ids[0]}" if count == 1 else f"{key}=[{','.join(ids)}]")
+        lines.append(" ".join(parts))
+    for target in sorted(spec.nominals, key=lambda t: (t != "*", t)):
+        lines.append(_render_numbers("nominal", target, spec.nominals[target]))
     for a, b in spec.links:
         lines.append(f"link {a} {b}")
     for name, ref in spec.inputs:
         lines.append(f"input {name} = {ref}")
-    for name, label in spec.outputs:
-        lines.append(f"output {name} = {label}")
     return "\n".join(lines) + "\n"
-
-
-def _render_nominal(n: NominalDecl) -> str:
-    parts = [f"nominal {n.target} pl={_fmt(n.pl)} q={_fmt(n.q)}"]
-    if n.Tl is not None:
-        parts.append(f"Tl={_fmt(n.Tl)}")
-    if n.Tr is not None:
-        parts.append(f"Tr={_fmt(n.Tr)}")
-    return " ".join(parts)
 
 
 def _pipe_params(decl: PipeDecl) -> PipeParams:
@@ -458,26 +390,14 @@ def _nominal(spec: NetworkSpec, pid: str) -> tuple[NominalDecl, bool]:
     return nom, False
 
 
-_KIND = {PipeDecl: "pipe", GainDecl: "gain", JointDecl: "joint", BranchDecl: "branch",
-         SeriesDecl: "series"}
-
-
-def _members(el) -> tuple[str, ...]:
-    """Pipe ids inside one element, in the order its constructor takes them."""
-    if isinstance(el, PipeDecl):
-        return (el.name,)
-    if isinstance(el, JointDecl):
-        return (el.into, *el.feeds)
-    if isinstance(el, BranchDecl):
-        return (el.from_, *el.into)
-    if isinstance(el, SeriesDecl):
-        return el.pipes
-    return ()
+def _ids(el) -> tuple[str, ...]:
+    """Member pipe ids of one element; (id,) for a gain, which has none."""
+    return el.members or (el.name,)
 
 
 def _ends(el) -> dict[str, tuple[str, str]]:
     """Port name -> (pipe or gain id, flange) of one element."""
-    return port_ends(_KIND[type(el)], _members(el) or (el.name,))
+    return port_ends(el.kind, _ids(el))
 
 
 def _group(ends, joins) -> dict:
@@ -559,9 +479,9 @@ class CompiledNetwork:
 
     def __init__(self, spec: NetworkSpec):
         self.spec = spec
-        self.pipe_ids = [pid for el in spec.elements for pid in _members(el)]
+        self.pipe_ids = [pid for el in spec.elements for pid in el.members]
         self.params = {pid: _pipe_params(spec.pipes[pid]) for pid in self.pipe_ids}
-        gains = [el for el in spec.elements if isinstance(el, GainDecl)]
+        gains = [el for el in spec.elements if el.kind == "gain"]
         self._gain_index = {g.name: i for i, g in enumerate(gains)}
         self.gains = tuple(g.k for g in gains)
 
@@ -585,7 +505,7 @@ class CompiledNetwork:
         spec = self.spec
         ports = {el.name: _ends(el) for el in spec.elements}
         pipe_ids = self.pipe_ids
-        owner = {pid: el.name for el in spec.elements for pid in _members(el)}
+        owner = {pid: el.name for el in spec.elements for pid in el.members}
         owner.update((g, g) for g in self._gain_index)
         ends = [(name, flange) for name in owner for flange in "lr"]
 
@@ -594,8 +514,8 @@ class CompiledNetwork:
 
         joins = [(end(a), end(b)) for a, b in spec.links]
         for el in spec.elements:  # each junction of a composite holds its ends at one pressure
-            ids = _members(el)
-            for feeders, takers in JUNCTIONS[_KIND[type(el)]](len(ids)):
+            ids = el.members
+            for feeders, takers in JUNCTIONS[el.kind](len(ids)):
                 meet = [(ids[i], "r") for i in feeders] + [(ids[i], "l") for i in takers]
                 joins += [(meet[0], e) for e in meet[1:]]
         node = _group(ends, joins)
@@ -676,7 +596,7 @@ class CompiledNetwork:
         """
         spec = self.spec
         for el in spec.elements:
-            ids = _members(el)
+            ids = el.members
             if ops is not None:
                 yield el, [(self.params[pid], ops[pid]) for pid in ids], False
                 continue
@@ -692,7 +612,7 @@ class CompiledNetwork:
     def _closure(self):
         """(state labels, input names, output labels, node rule) of the closed model."""
         spec = self.spec
-        kinds = [(_KIND[type(el)], _members(el) or (el.name,)) for el in spec.elements]
+        kinds = [(el.kind, _ids(el)) for el in spec.elements]
         signals = [element_signals(kind, ids) for kind, ids in kinds]
         states, inputs, outputs = ([lab for sig in signals for lab in sig[i]] for i in range(3))
         in_index = core.label_index(inputs, "input")
@@ -714,11 +634,11 @@ class CompiledNetwork:
         gains = self.gains if gains is None else gains
         pipes, g = [], 0
         for el, members, check in self.members_at(ops):
-            if isinstance(el, GainDecl):
+            if el.kind == "gain":
                 check_gain(gains[g])
                 g += 1
             else:
-                check_members(_KIND[type(el)], [op for _, op in members], check)
+                check_members(el.kind, [op for _, op in members], check)
                 pipes += members
         return self._closure[3].fill(pipes, self.spec.gas, gains)[:4]
 
@@ -777,17 +697,14 @@ def build_elements(spec: NetworkSpec,
     out = []
     ops = None if steady is None else steady.ops
     for el, pipes, check in CompiledNetwork(spec).members_at(ops):
-        ids = _members(el)
-        if isinstance(el, GainDecl):
-            out.append(make_gain(el.k, el.name))
-        elif isinstance(el, PipeDecl):
-            out.append(make_pipe(*pipes[0], spec.gas, el.name))
-        elif isinstance(el, JointDecl):
-            out.append(make_joint(*pipes, spec.gas, member_ids=ids, check_nominal=check))
-        elif isinstance(el, BranchDecl):
-            out.append(make_branch(*pipes, spec.gas, member_ids=ids, check_nominal=check))
-        elif isinstance(el, SeriesDecl):
-            out.append(make_series(pipes, spec.gas, member_ids=ids, check_nominal=check))
+        make = globals()["make_" + el.kind]  # by name at each call, so a wrapper of it is used
+        if el.kind == "gain":
+            out.append(make(el.k, el.name))
+        elif el.kind == "pipe":
+            out.append(make(*pipes[0], spec.gas, el.name))
+        else:  # make_series takes its pipes as one list, make_joint and make_branch as three
+            args = (pipes,) if el.kind == "series" else pipes
+            out.append(make(*args, spec.gas, member_ids=el.members, check_nominal=check))
     return out
 
 
@@ -821,7 +738,7 @@ def override_gain(spec: NetworkSpec, element_id: str, k: float) -> NetworkSpec:
     new_elements = []
     found = False
     for el in spec.elements:
-        if isinstance(el, GainDecl) and el.name == element_id:
+        if el.kind == "gain" and el.name == element_id:
             el = replace(el, k=k)
             found = True
         new_elements.append(el)

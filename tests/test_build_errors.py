@@ -53,6 +53,22 @@ def test_sweep_to_zero_gain():
     assert str(err.value) == "gain k must be nonzero"
 
 
+@pytest.mark.parametrize("k", ["nan", "inf", "-inf"])
+def test_non_finite_gain(k):
+    spec = pn.parse(GAIN_AT_END.replace("k=2", f"k={k}"))
+    message = f"gain k must be finite, got {float(k)!r}"
+    with pytest.raises(ConfigurationError) as err:
+        pn.build_closed(spec)
+    assert str(err.value) == message
+    net = pn.CompiledNetwork(pn.parse(GAIN_AT_END))
+    with pytest.raises(ConfigurationError) as err:
+        net.model(gains=(float(k),))
+    assert str(err.value) == message
+    with pytest.raises(ConfigurationError) as err:
+        pn.stability_margin_sweep(pn.parse(GAIN_AT_END), "G", np.array([1.0, float(k)]))
+    assert str(err.value) == message
+
+
 def test_sweep_of_unknown_element():
     spec = pn.parse(GAIN_AT_END)
     with pytest.raises(ConfigurationError) as err:

@@ -126,6 +126,12 @@ def test_gain_rejects_zero():
         composites.make_gain(0.0)
 
 
+@pytest.mark.parametrize("k", [float("nan"), float("inf"), -float("inf")])
+def test_gain_rejects_non_finite(k):
+    with pytest.raises(ConfigurationError, match="gain k must be finite"):
+        composites.make_gain(k)
+
+
 def test_composites_random_stability(gas):
     # every single-element model here is Hurwitz for positive flow
     rng = np.random.default_rng(3)

@@ -59,6 +59,12 @@ def test_unknown_statement_positioned():
     assert err.value.line == 2
 
 
+def test_output_statement_is_unknown():
+    with pytest.raises(ParseError, match="unknown statement 'output'") as err:
+        netspec.parse(MINI + "output y = P.r.p\n")
+    assert err.value.line == 6
+
+
 def test_unknown_key():
     with pytest.raises(ParseError, match="unknown key"):
         netspec.parse("gas Rs=1 z0=1 T0=300 color=red\n")
@@ -177,3 +183,100 @@ def test_nominal_of_unknown_pipe_positioned():
     with pytest.raises(ParseError, match="nominal names unknown pipe 'Q9'") as err:
         netspec.parse(text)
     assert err.value.line == 6
+
+
+GAS = "gas Rs=518.28 z0=0.95 T0=300\n"
+AB = "pipe A L=10 d=0.7 lambda=0.01\npipe B L=10 d=0.7 lambda=0.01\n"
+ABC = AB + "pipe C L=10 d=0.7 lambda=0.01\n"
+
+
+@pytest.mark.parametrize("text, line, fragment", [
+    (GAS + GAS, 2, "duplicate gas block"),
+    (GAS + "pipe\n", 2, "pipe needs a name"),
+    (GAS + "gain\n", 2, "gain needs a name"),
+    (GAS + ABC + "joint\n", 5, "joint needs a name"),
+    (GAS + "nominal\n", 2, "nominal needs a target"),
+    (GAS + "pipe 9P L=10 d=0.7\n", 2, "invalid identifier '9P'"),
+    (GAS + "pipe P L=10\n", 2, "missing required key 'd'"),
+    (GAS + "pipe P L=10 L=20 d=0.7\n", 2, "duplicate key 'L'"),
+    (GAS + "pipe P L=10 d\n", 2, "expected key=value, got 'd'"),
+    (GAS + ABC + "pipe D L=1 d=1\njoint J feeds=[A,B,D] into=C\n", 6,
+     "feeds expects exactly 2 pipes"),
+    (GAS + AB + "branch S from=A into=[B]\n", 4, "into expects exactly 2 pipes"),
+    (GAS + AB + "series S pipes=A,B\n", 4, "pipes expects a bracketed list, got 'A,B'"),
+    (GAS + AB + "series S pipes=[]\n", 4, "pipes list is empty"),
+    (GAS + AB + "series S pipes=[A,Z]\n", 4, "unknown pipe 'Z'"),
+    (GAS + ABC + "series S pipes=[A,B]\nseries T pipes=[C,A]\n", 6,
+     "pipe 'A' already used by 'S'"),
+    (GAS + AB + "series S pipes=[A]\nseries S pipes=[B]\n", 5, "duplicate element 'S'"),
+    (GAS + AB + "nominal A pl=25e5 q=21\nnominal A pl=25e5 q=20\n", 5,
+     "duplicate nominal for 'A'"),
+    (GAS + AB + "link A.r\n", 4, "link takes exactly two ports"),
+    (GAS + AB + "input up A.l\n", 4, "input statement needs <name> = <target>"),
+    (GAS + AB + "input up = A.x\n", 4, "unknown port name 'x'"),
+    (GAS + AB + "input up = A\n", 4, "expected <elem>.<port>, got 'A'"),
+    (GAS + AB + "input up = A.l\ninput up = B.l\n", 5, "duplicate input 'up'"),
+    (GAS + AB + "link A.r Z.l\n", 4, "unknown element 'Z'"),
+    (GAS + AB + "input up = A.l2\n", 4, "element 'A' has no port 'l2'"),
+    (GAS + "pipe P L=abc d=0.7\n", 2, "bad numeric value for L: 'abc'"),
+    (GAS + "gain G k=2 m=3\n", 2, "unknown key 'm'"),
+])
+def test_parse_error_line_and_message(text, line, fragment):
+    with pytest.raises(ParseError) as err:
+        netspec.parse(text)
+    assert err.value.line == line
+    assert fragment in str(err.value)
+
+
+EVERY_KEY = """\
+gas Rs=518.28 z0=0.95 T0=300 cv=1650 Tamb=280
+pipe A L=10 d=0.7 dout=0.72 eps=4.57e-5 dh=-3 Re=1.168e8 krad=2.5
+pipe B L=12 d=0.6 eps=-0.0 lambda=0.012
+pipe C L=14 d=0.5 lambda=0.013
+joint J feeds=[A,B] into=C
+pipe D L=9 d=0.4 lambda=0.014
+pipe E L=8 d=0.4 lambda=0.015
+pipe F L=7 d=0.4 lambda=0.016
+branch S from=D into=[E,F]
+gain K k=1.5
+pipe G L=20 d=0.3 lambda=0.02
+nominal A pl=30e5 q=10 Tl=290 Tr=285.5
+nominal * pl=25e5 q=21
+link J.r K.l
+link K.r S.l
+link S.r1 G.l
+input a = J.l1
+"""
+
+EVERY_KEY_RENDERED = """\
+gas Rs=518.28 z0=0.95 T0=300.0 cv=1650.0 Tamb=280.0
+pipe A L=10.0 d=0.7 dout=0.72 eps=4.57e-05 dh=-3.0 Re=116800000.0 krad=2.5
+pipe B L=12.0 d=0.6 lambda=0.012
+pipe C L=14.0 d=0.5 lambda=0.013
+joint J feeds=[A,B] into=C
+pipe D L=9.0 d=0.4 lambda=0.014
+pipe E L=8.0 d=0.4 lambda=0.015
+pipe F L=7.0 d=0.4 lambda=0.016
+branch S from=D into=[E,F]
+gain K k=1.5
+pipe G L=20.0 d=0.3 lambda=0.02
+nominal * pl=2500000.0 q=21.0
+nominal A pl=3000000.0 q=10.0 Tl=290.0 Tr=285.5
+link J.r K.l
+link K.r S.l
+link S.r1 G.l
+input a = J.l1
+"""
+
+
+def test_render_golden():
+    spec = netspec.parse(EVERY_KEY)
+    assert netspec.render(spec) == EVERY_KEY_RENDERED
+    assert netspec.parse(EVERY_KEY_RENDERED) == spec
+
+
+def test_render_roundtrip_oracle_specs(oracle_specs):
+    for spec in oracle_specs:
+        text = netspec.render(spec)
+        assert netspec.parse(text) == spec
+        assert netspec.render(netspec.parse(text)) == text
