@@ -31,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .composites import check_gain
 from .core import StateSpaceModel
-from .errors import ConfigurationError, NominalWarning, NumericalError
+from .errors import ConfigurationError, NominalWarning, NumericalError, PipenetError
 from .interconnect import ConnectionMatrices, StackedSystem, close
 
 RESOLVENT_CONDITION_LIMIT = 1e12
@@ -245,30 +246,44 @@ def stability_margin_sweep(spec, gain_element_id: str, k_values) -> np.ndarray:
     """Max real eigenvalue of the closed network as one gain is swept.
 
     Compiles the network description once (netspec.CompiledNetwork) and
-    fills it for each k in k_values: every pipe is linearized at the
-    gain-aware operating point of netspec.network_steady_state, then A is
-    refilled (no labelled model is built). The A matrices are stacked and
-    their eigenvalues taken in one call, in stacks of at most
-    _EIG_STACK_BYTES. The constraints those points leave unmet (a ring
-    whose gains admit no steady state, say) are reported in one
-    NominalWarning per sweep.
+    checks every k before the first solve, so a bad k gets the
+    ConfigurationError of make_gain wherever the gain sits. The k values
+    are then taken in chunks whose A stack holds at most _EIG_STACK_BYTES,
+    which bounds the memory. Each chunk is one table of (k, pipe) lanes:
+    one pressure spread, in which every pipe is linearized at the
+    gain-aware operating point of netspec.network_steady_state (one
+    steady-state solve per pipe and k), one node-rule fill of all its A
+    matrices (no labelled model is built) and one eigenvalue call. The
+    margins, and any error, are those of one k at a time. The constraints
+    those points leave unmet (a ring whose gains admit no steady state,
+    say) are reported in one NominalWarning per sweep.
     """
     from . import netspec  # deferred: netspec builds on this module's siblings
 
     net = netspec.CompiledNetwork(spec)
-    out = np.empty(len(k_values))
-    unmet = []  # (k, first unmet constraint) for each step that has one
-    stack = []  # A of the steps whose eigenvalues are not yet taken
-    for i, k in enumerate(k_values, start=1):
-        gains = net.gains_with(gain_element_id, float(k))
-        steady = net.steady_state(gains)
-        stack.append(net._fill(steady.ops, gains)[0])
-        if steady.unmet:
-            unmet.append((float(k), steady.unmet[0]))
-        if i == len(out) or len(stack) * stack[0].nbytes >= _EIG_STACK_BYTES:
-            A = _checked_system_matrix(np.stack(stack))
-            out[i - len(stack):i] = np.linalg.eigvals(A).real.max(axis=1)
-            stack.clear()
+    ks = [float(k) for k in k_values]
+    out = np.empty(len(ks))
+    if not ks:
+        return out
+    gains = np.array([net.gains_with(gain_element_id, k) for k in ks])
+    for k in gains.ravel().tolist():
+        check_gain(k)
+    chunk = -(-_EIG_STACK_BYTES // max(8 * net.shape[0] ** 2, 1))
+    unmet = []  # (k, first unmet constraint) for each k that has one
+    for lo in range(0, len(ks), chunk):
+        rows = gains[lo:lo + chunk]
+        try:
+            spread = net.spread(rows)
+            A = net.fill_spread(spread)
+        except PipenetError:
+            for row in rows:  # raise what the first failing k raises alone
+                net.fill_spread(net.spread(row[None]))
+            raise
+        out[lo:lo + len(rows)] = np.linalg.eigvals(_checked_system_matrix(A)).real.max(axis=1)
+        for lane, k in enumerate(ks[lo:lo + chunk]):
+            first = spread.unmet_at(lane)[:1]
+            if first:
+                unmet.append((k, first[0]))
     if unmet:
         k, first = unmet[0]
         warnings.warn(f"unmet steady-state constraints at {len(unmet)} of {len(out)} "

@@ -157,9 +157,18 @@ def element_signals(kind: str, member_ids):
 
 
 def _scatter(shape, flat, values) -> np.ndarray:
-    """Dense array that sums values at the flat positions, in the order given."""
-    out = np.bincount(flat, values, minlength=shape[0] * shape[1])
-    return out.astype(float, copy=False).reshape(shape)  # no positions: bincount gives ints
+    """Dense array that sums values at the flat positions, in the order given.
+
+    values may carry lanes in front, (K, len(flat)): lane k lands at
+    offset k * size, so one bincount fills the (K, *shape) stack.
+    """
+    lanes = values.shape[:-1]
+    size = shape[0] * shape[1]
+    n = math.prod(lanes)
+    if n != 1:
+        flat = (flat + size * np.arange(n)[:, None]).ravel()
+    out = np.bincount(flat, values.ravel(), minlength=n * size)
+    return out.astype(float, copy=False).reshape(*lanes, *shape)  # no positions: bincount gives ints
 
 
 class NodeRule:
@@ -258,9 +267,10 @@ class NodeRule:
 
         self.shape = (n_states, n_external, len(sources))
         self._parallel = np.array(parallel, dtype=np.intp).reshape(-1, 2).T
-        self._a, self._b, self._c, self._d = (
-            self._pattern(entries, cols, 4 * n_pipes)
-            for entries, cols in ((a, n_states), (b, n_external), (c, n_states), (d, n_external)))
+        self._patterns = [
+            self._pattern(entries, shape, 4 * n_pipes)
+            for entries, shape in ((a, (n_states, n_states)), (b, (n_states, n_external)),
+                                   (c, (len(sources), n_states)), (d, (len(sources), n_external)))]
         # ||I - D F||_F^2: 1 per output, plus the square of each feed-through
         # factor whose input an output feeds; ||(I - D F)^-1||_F^2: the square of
         # the running factor at each step of every resolution
@@ -271,51 +281,74 @@ class NodeRule:
                              if max(steps) < 0)
 
     @staticmethod
-    def _pattern(entries, n_cols, n_pipe_slots):
-        """Flat positions, coefficient slots and scale slots of one matrix's entries."""
-        if not entries:
-            return np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0, np.intp)
-        cols = np.array(entries, dtype=np.intp).T
-        flat = cols[0] * n_cols + cols[1]
-        if len(cols) == 3:  # C and D: the factor alone
-            return flat, None, cols[2]
-        coef = np.where(cols[2] < 0, n_pipe_slots - 1 - cols[2], cols[2])
-        return flat, coef, cols[3]
+    def _pattern(entries, shape, n_pipe_slots):
+        """(shape, flat positions, coefficient columns, scale slots) of one matrix's entries.
 
-    def fill(self, pipes, gas: GasProperties | None, gains=()):
-        """A, B, C, D and each two-feeder node's delta = alpha_1/(alpha_1 + alpha_2).
-
-        pipes are the (PipeParams, OperatingPoint) of every member pipe in
-        element order; gains the k of every gain. Raises the NumericalError
-        of interconnect.close when ||I - D F||_F ||(I - D F)^-1||_F exceeds
-        CONDITION_LIMIT.
+        Coefficient column 4 P + j is two-feeder node j's parallel alpha.
+        C and D hold a factor alone: their columns are None.
         """
-        cs = [iso_coefficients(par, op, gas) for par, op in pipes]
-        coef = np.array([(c.alpha, c.beta_pr, c.beta_pl, c.gamma) for c in cs]).reshape(-1)
-        a1, a2 = coef[self._parallel[0]], coef[self._parallel[1]]
+        if not entries:
+            return shape, np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0, np.intp)
+        cols = np.array(entries, dtype=np.intp).T
+        flat = cols[0] * shape[1] + cols[1]
+        if len(cols) == 3:
+            return shape, flat, None, cols[2]
+        return shape, flat, np.where(cols[2] < 0, n_pipe_slots - 1 - cols[2], cols[2]), cols[3]
+
+    def fill(self, coef, gains, matrices: int = 4):
+        """A, B, C, D and each two-feeder node's delta = alpha_1/(alpha_1 + alpha_2), per lane.
+
+        coef is the (K, 4 P) table of every member pipe's (alpha, beta_pr,
+        beta_pl, gamma) in element order (pipe_dynamics.IsoTable.at, or
+        coefficient_row for one lane), gains the (K, n_gains) table of every
+        gain's k; each of the K rows is one lane. Returns the (K, n, n),
+        (K, n, m), (K, p, n) and (K, p, m) stacks, each scattered by one
+        bincount over all lanes, then the (K, n_two_feeder) delta;
+        matrices=1 scatters A alone, all that a gain sweep reads. delta and
+        the gain-chain factors are taken per lane, so each lane equals a
+        fill of its row alone, bit for bit. Memory grows with K, so the
+        caller bounds it.
+        Raises the NumericalError of interconnect.close when, in any lane,
+        ||I - D F||_F ||(I - D F)^-1||_F exceeds CONDITION_LIMIT.
+        """
+        coef, gains = np.asarray(coef, dtype=float), np.asarray(gains, dtype=float)
+        a1, a2 = coef[:, self._parallel[0]], coef[:, self._parallel[1]]
         delta = a1 / (a1 + a2)
-        coef = np.concatenate([coef, a1 * (1.0 - delta)])
+        coef = np.concatenate([coef, a1 * (1.0 - delta)], axis=1)
 
-        factors, norm2_inv = [], float(self._inv_ones)
-        for steps, count in self._chains:
-            factor, running = 1.0, 0.0
-            for gain in steps:
-                running += factor * factor
-                if gain >= 0:
-                    factor *= gains[gain]
-            factors.append(factor)
-            norm2_inv += count * running
-        norm2_idf = self._idf_ones + sum(gains[g] * gains[g] for g in self._idf_gains)
-        if not math.sqrt(norm2_idf * norm2_inv) <= CONDITION_LIMIT:  # "not <=" rejects nan
-            raise NumericalError(_ILL_POSED)
+        scale = []  # per lane: 1.0, -1.0, then the factor of each gain chain
+        for lane in gains.tolist():
+            factors, norm2_inv = [], float(self._inv_ones)
+            for steps, count in self._chains:
+                factor, running = 1.0, 0.0
+                for gain in steps:
+                    running += factor * factor
+                    if gain >= 0:
+                        factor *= lane[gain]
+                factors.append(factor)
+                norm2_inv += count * running
+            norm2_idf = self._idf_ones + sum(lane[g] * lane[g] for g in self._idf_gains)
+            if not math.sqrt(norm2_idf * norm2_inv) <= CONDITION_LIMIT:  # "not <=" rejects nan
+                raise NumericalError(_ILL_POSED)
+            scale.append([1.0, -1.0, *factors])
 
-        scale = np.array([1.0, -1.0, *factors])
-        n, m, p = self.shape
-        A = _scatter((n, n), self._a[0], coef[self._a[1]] * scale[self._a[2]])
-        B = _scatter((n, m), self._b[0], coef[self._b[1]] * scale[self._b[2]])
-        C = _scatter((p, n), self._c[0], scale[self._c[2]])
-        D = _scatter((p, m), self._d[0], scale[self._d[2]])
-        return A, B, C, D, delta
+        scale = np.array(scale)
+        return (*(_scatter(shape, flat, scale[:, slots] if cols is None
+                           else coef[:, cols] * scale[:, slots])
+                  for shape, flat, cols, slots in self._patterns[:matrices]), delta)
+
+
+def coefficient_row(pipes, gas: GasProperties | None):
+    """The one-lane (1, 4 P) coefficient table of NodeRule.fill for (PipeParams, OperatingPoint) pairs.
+
+    Takes iso_coefficients pipe by pipe; pipe_dynamics.IsoTable gives the
+    same numbers, bit for bit, for many operating points at once.
+    """
+    row = []
+    for par, op in pipes:
+        c = iso_coefficients(par, op, gas)
+        row += (c.alpha, c.beta_pr, c.beta_pl, c.gamma)
+    return [row]
 
 
 @lru_cache(maxsize=None)
@@ -333,14 +366,24 @@ def _assemble(kind: str, pipes, gas: GasProperties | None, member_ids,
     """
     member_ids = tuple(member_ids)
     states, inputs, outputs, ports = element_signals(kind, member_ids)
-    A, B, C, D, delta = _rule(kind, len(member_ids)).fill(pipes, gas, gains)
-    model = StateSpaceModel(A, B, C, D, states, inputs, outputs)
+    A, B, C, D, delta = _rule(kind, len(member_ids)).fill(coefficient_row(pipes, gas), [gains])
+    model = StateSpaceModel(A[0], B[0], C[0], D[0], states, inputs, outputs)
     return CompositeModel(model, kind, member_ids, ports,
-                          delta=float(delta[0]) if len(delta) else None)
+                          delta=float(delta[0, 0]) if delta.size else None)
 
 
 def _rel_close(a, b, tol=NOMINAL_RTOL):
     return abs(a - b) <= tol * max(abs(a), abs(b), 1.0)
+
+
+def check_flows(kind: str, flows):
+    """Raise the ConfigurationError of make_<kind> unless each member flow is positive.
+
+    Joint, branch and series members need positive nominal flow; a pipe
+    has no check.
+    """
+    if kind != "pipe" and not all(q > 0.0 for q in flows):
+        raise ConfigurationError("composite requires positive nominal flow")
 
 
 def check_members(kind: str, ops, check_nominal: bool):
@@ -350,12 +393,8 @@ def check_members(kind: str, ops, check_nominal: bool):
     check_nominal their flows and pressures must also agree at every
     junction. A pipe has no check.
     """
-    if kind == "pipe":
-        return
-    for op in ops:
-        if not op.q_ss > 0.0:
-            raise ConfigurationError("composite requires positive nominal flow")
-    if not check_nominal:
+    check_flows(kind, [op.q_ss for op in ops])
+    if kind == "pipe" or not check_nominal:
         return
     if kind == "joint":
         if not _rel_close(ops[0].q_ss, ops[1].q_ss + ops[2].q_ss):

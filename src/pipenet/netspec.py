@@ -29,17 +29,19 @@ identical matrices.
 A parsed description is compiled once (CompiledNetwork) into what its
 topology and declared data fix: λ per pipe, the node graph and balanced
 flows, the labels, and the node rule pattern of the closed model
-(composites.NodeRule). Fills evaluate it: steady_state spreads the
-pressures at given gain values, model scatters the pipes' linearization
-coefficients and the gain factors into A, B, C and D. build_closed and
-network_steady_state are one compile and one fill; a gain sweep compiles
-once and fills per gain. build_elements and elaborate keep the per-element
-models of the oracle path (interconnect.close, analysis.mason_check).
+(composites.NodeRule). Fills evaluate it: spread carries the node
+pressures of K rows of gain values at once, fill_spread scatters the
+pipes' linearization coefficients (pipe_dynamics.IsoTable) and the gain
+factors into a stack of K system matrices A, and model fills A, B, C and
+D at given operating points (composites.coefficient_row). build_closed and
+network_steady_state are one compile and a one-row fill; a gain sweep
+compiles once and fills one table of rows per chunk of gains.
+build_elements and elaborate keep the per-element models of the oracle
+path (interconnect.close, analysis.mason_check).
 """
 
 from __future__ import annotations
 
-import math
 import re
 from collections import deque
 from dataclasses import dataclass, replace
@@ -48,17 +50,18 @@ from functools import cached_property
 import numpy as np
 
 from . import core
-from .composites import (JUNCTIONS, NOMINAL_RTOL, CompositeModel, NodeRule, check_gain,
-                         check_members, element_signals, make_branch, make_gain, make_joint,
-                         make_pipe, make_series, port_ends)
+from .composites import (JUNCTIONS, NOMINAL_RTOL, CompositeModel, NodeRule, check_flows,
+                         check_gain, check_members, coefficient_row, element_signals, make_branch,
+                         make_gain, make_joint, make_pipe, make_series, port_ends)
 from .core import GasProperties, OperatingPoint, PipeParams, SignalLabel, StateSpaceModel
-from .errors import ConfigurationError, ParseError
+from .errors import ConfigurationError, DomainError, ParseError
 from .friction import friction_factor
 # close stays importable here although nothing here calls it: perfbench/tracer.py wraps
 # netspec.close, netspec.stack and netspec.build_FG by name
 from .interconnect import (ConnectionMatrices, StackedSystem, _drivers, build_FG,  # noqa: F401
                            close, stack)
-from .steady_state import isothermal_nominal
+from .pipe_dynamics import IsoTable
+from .steady_state import exact_root, isothermal_nominal, relation_constants
 
 _DEFAULT_CV = 1700.0
 
@@ -442,6 +445,43 @@ class NetworkSteadyState:
     unmet: tuple[UnmetConstraint, ...]
 
 
+def _isclose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """math.isclose(a, b, rel_tol=NOMINAL_RTOL) lane by lane.
+
+    Equal, or both finite and apart by at most NOMINAL_RTOL times the
+    larger magnitude: no absolute tolerance, and nan is close to nothing
+    (np.isclose differs in all three).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        near = np.abs(a - b) <= NOMINAL_RTOL * np.maximum(np.abs(a), np.abs(b))
+    return (a == b) | (near & np.isfinite(a) & np.isfinite(b))
+
+
+@dataclass(frozen=True)
+class Spread:
+    """The pressure spread of network_steady_state at K rows of gain values.
+
+    p_l and p_r are (P, K): the inlet and exit pressure of every pipe, in
+    CompiledNetwork.pipe_ids order, in each lane. q holds the P pipe
+    flows, which no gain moves; order lists the pipe indices in the order
+    the spread reached them. unmet holds (element, signal, node values,
+    arriving values, unmet lanes) of every later arrival at a node, in
+    spread order.
+    """
+
+    gains: np.ndarray
+    p_l: np.ndarray
+    p_r: np.ndarray
+    q: tuple[float, ...]
+    order: tuple[int, ...]
+    unmet: tuple
+
+    def unmet_at(self, lane: int) -> tuple[UnmetConstraint, ...]:
+        """The constraints that one lane leaves unmet, in spread order."""
+        return tuple(UnmetConstraint(element, signal, float(held[lane]), float(came[lane]))
+                     for element, signal, held, came, lanes in self.unmet if lanes[lane])
+
+
 def _wiring(spec: NetworkSpec, ports: dict):
     """Port pairs of the links and (name, port) of the external inputs.
 
@@ -471,10 +511,16 @@ class CompiledNetwork:
 
     Holds the resolved friction factor of every pipe and the declared gain
     values; on first use it also holds the steady-state program (the node
-    graph, the projected flows and the order of the pressure spread) and
-    the model's labels and node rule pattern (composites.NodeRule). None of
-    these depend on a gain value, so a gain sweep compiles once and fills
-    per step: steady_state, then model.
+    graph, the projected flows, the order of the pressure spread and each
+    pipe's relation constants), the pipes' linearization constants as
+    arrays (pipe_dynamics.IsoTable) and the model's labels and node rule
+    pattern (composites.NodeRule). None of these depend on a gain value.
+
+    A gain sweep compiles once and fills a table of K gain rows at a time
+    (analysis.stability_margin_sweep): spread checks every k first, then
+    carries the node pressures as (node, K) arrays, and fill_spread
+    scatters all K system matrices with one node-rule fill. Memory grows with K,
+    so the caller bounds it. steady_state and model are the one-row case.
     """
 
     def __init__(self, spec: NetworkSpec):
@@ -492,15 +538,22 @@ class CompiledNetwork:
             raise _unknown_gain(element_id)
         return self.gains[:i] + (k,) + self.gains[i + 1:]
 
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """(states, inputs, outputs) of the closed model."""
+        return self._closure[3].shape
+
     @cached_property
-    def _spread(self):
-        """(starts, steps, node count, owners) of the pressure spread (network_steady_state).
+    def _program(self):
+        """(starts, steps, node count, owners, flows) of the pressure spread (network_steady_state).
 
         The spread visits the same nodes in the same order at every gain
         value, so it is recorded once. starts are (node, declared pl);
-        steps are (pipe or gain id, gain index or -1 for a pipe, pipe flow,
-        from node, to node, whether this is the first arrival at to);
-        owners map each pipe and gain id to its element.
+        steps are (pipe or gain id, gain index or -1 for a pipe, pipe
+        index or -1 for a gain, the pipe's c = coef q|q| and grav of
+        steady_state.exact_root, from node, to node, whether this is the
+        first arrival at to); owners map each pipe and gain id to its
+        element; flows are the pipe flows in pipe_ids order.
         """
         spec = self.spec
         ports = {el.name: _ends(el) for el in spec.elements}
@@ -536,13 +589,16 @@ class CompiledNetwork:
         q = q0
         if np.any(np.abs(resid) > NOMINAL_RTOL * max(np.abs(q0).max(initial=0.0), 1.0)):
             q = q0 - np.linalg.lstsq(N, resid, rcond=None)[0]
-        flow = dict(zip(pipe_ids, q.tolist()))
+        flows = tuple(q.tolist())
 
-        leaving = {}  # node -> [(pipe or gain id, gain index or -1 for a pipe)]
-        for pid in pipe_ids:
-            leaving.setdefault(node[(pid, "l")], []).append((pid, -1))
+        T_0 = spec.gas.T_0
+        leaving = {}  # node -> [(pipe or gain id, gain index, pipe index, c, grav)]
+        for i, pid in enumerate(pipe_ids):
+            coef, grav = relation_constants(T_0, self.params[pid], spec.gas)
+            c = coef * flows[i] * abs(flows[i])
+            leaving.setdefault(node[(pid, "l")], []).append((pid, -1, i, c, grav))
         for g, i in self._gain_index.items():
-            leaving.setdefault(node[(g, "l")], []).append((g, i))
+            leaving.setdefault(node[(g, "l")], []).append((g, i, -1, None, None))
 
         starts, steps, reached = [], [], set()
         fed = [end(ref)[0] for _, ref in spec.inputs if ref.port[0] == "l"]
@@ -555,35 +611,75 @@ class CompiledNetwork:
             queue = deque([start])
             while queue:
                 n = queue.popleft()
-                for name, gain in leaving.get(n, ()):
+                for name, gain, i, c, grav in leaving.get(n, ()):
                     to = node[(name, "r")]
-                    steps.append((name, gain, flow.get(name), n, to, to not in reached))
+                    steps.append((name, gain, i, c, grav, n, to, to not in reached))
                     if to not in reached:
                         reached.add(to)
                         queue.append(to)
-        return starts, steps, len(set(node.values())), owner
+        return starts, steps, len(set(node.values())), owner, flows
+
+    def spread(self, gains) -> Spread:
+        """The pressure spread of network_steady_state at each row of gains, (K, n_gains).
+
+        Every k is checked first (composites.check_gain), so a bad one
+        gives the same ConfigurationError wherever its gain sits. The node
+        pressures are (node, K) arrays: a gain multiplies a row by its k,
+        and a pipe's exit row takes one steady_state.exact_root per lane,
+        so each lane equals a spread of its row alone, bit for bit. Every
+        lane's inlet and exit pressures must be strictly positive
+        (DomainError); later arrivals are checked lane-wise (_isclose).
+        """
+        gains = np.asarray(gains, dtype=float)
+        for k in gains.ravel().tolist():
+            check_gain(k)
+        starts, steps, n_nodes, owner, flows = self._program
+        pressure = np.zeros((n_nodes, len(gains)))
+        for n, pl in starts:
+            pressure[n] = pl
+        p_l, p_r = np.empty((2, len(flows), len(gains)))
+        order, unmet = [], []
+        for name, gain, i, c, grav, n, to, first in steps:
+            x = pressure[n]
+            if gain < 0:
+                if not np.all(x > 0.0):
+                    raise DomainError("nominal left pressure must be strictly positive")
+                y = np.array([exact_root(base, c, grav) for base in x.tolist()])
+                if not np.all(y > 0.0):
+                    raise DomainError("OperatingPoint.p_r_ss must be strictly positive")
+                p_l[i], p_r[i] = x, y
+                order.append(i)
+            else:
+                y = gains[:, gain] * x
+            if first:
+                pressure[to] = y
+                continue
+            met = _isclose(pressure[to], y)
+            if not met.all():
+                unmet.append((owner[name], str(SignalLabel(name, "r", "p")), pressure[to], y, ~met))
+        return Spread(gains, p_l, p_r, flows, tuple(order), tuple(unmet))
 
     def steady_state(self, gains=None) -> NetworkSteadyState:
         """network_steady_state at the given gain values (default: the declared ones)."""
-        gains = self.gains if gains is None else gains
-        starts, steps, n_nodes, owner = self._spread
-        gas, params = self.spec.gas, self.params
-        pressure = [0.0] * n_nodes
-        for n, pl in starts:
-            pressure[n] = pl
-        ops, unmet = {}, []
-        for name, gain, q, n, to, first in steps:
-            if gain < 0:
-                op = ops[name] = isothermal_nominal(pressure[n], q, gas.T_0, params[name], gas)
-                p_out = op.p_r_ss
-            else:
-                p_out = gains[gain] * pressure[n]
-            if first:
-                pressure[to] = p_out
-            elif not math.isclose(pressure[to], p_out, rel_tol=NOMINAL_RTOL):
-                unmet.append(UnmetConstraint(owner[name], str(SignalLabel(name, "r", "p")),
-                                             pressure[to], p_out))
-        return NetworkSteadyState(ops, tuple(unmet))
+        spread = self.spread([self.gains if gains is None else gains])
+        T_0 = self.spec.gas.T_0
+        p_l, p_r = spread.p_l[:, 0].tolist(), spread.p_r[:, 0].tolist()
+        ops = {self.pipe_ids[i]: OperatingPoint(p_l_ss=p_l[i], p_r_ss=p_r[i], q_ss=spread.q[i],
+                                                T_l_ss=T_0, T_r_ss=T_0)
+               for i in spread.order}
+        return NetworkSteadyState(ops, spread.unmet_at(0))
+
+    def fill_spread(self, spread: Spread) -> np.ndarray:
+        """The (K, n, n) stack of the closed network's A at every lane of spread.
+
+        Checks the member flows of each composite as make_* would (gains
+        were checked by spread), then fills the node rule once for all
+        lanes. B, C and D are not scattered: a gain sweep reads only A.
+        """
+        for el in self.spec.elements:
+            check_flows(el.kind, [spread.q[i] for i in self._members[el.name]])
+        coef = self._iso.at(spread.q, spread.p_l.T)
+        return self._closure[3].fill(coef, spread.gains, matrices=1)[0]
 
     def members_at(self, ops=None):
         """Per element: its declaration, the (params, op) of its member pipes, and
@@ -625,11 +721,22 @@ class CompiledNetwork:
         rule = NodeRule([(kind, len(ids)) for kind, ids in kinds], drivers, len(externals))
         return tuple(states), tuple(name for name, _ in spec.inputs), tuple(outputs), rule
 
+    @cached_property
+    def _iso(self) -> IsoTable:
+        """The pipes' linearization constants as arrays, in pipe_ids order."""
+        return IsoTable([self.params[pid] for pid in self.pipe_ids], self.spec.gas)
+
+    @cached_property
+    def _members(self) -> dict[str, list[int]]:
+        """Element name -> the pipe_ids indices of its member pipes."""
+        index = {pid: i for i, pid in enumerate(self.pipe_ids)}
+        return {el.name: [index[pid] for pid in el.members] for el in self.spec.elements}
+
     def _fill(self, ops=None, gains=None):
         """A, B, C and D of the closed network at ops and gains (see model).
 
         Checks each element as make_* would (members_at), then fills the
-        node rule.
+        node rule with one lane (composites.coefficient_row).
         """
         gains = self.gains if gains is None else gains
         pipes, g = [], 0
@@ -640,7 +747,8 @@ class CompiledNetwork:
             else:
                 check_members(el.kind, [op for _, op in members], check)
                 pipes += members
-        return self._closure[3].fill(pipes, self.spec.gas, gains)[:4]
+        coef = coefficient_row(pipes, self.spec.gas)
+        return tuple(M[0] for M in self._closure[3].fill(coef, [gains])[:4])
 
     def model(self, ops=None, gains=None) -> StateSpaceModel:
         """The closed network model at ops and gains (default: declared nominals and gains).

@@ -89,6 +89,45 @@ def iso_coefficients(params: PipeParams, op: OperatingPoint, gas: GasProperties)
     return IsoCoefficients(alpha, beta_pr, beta_pl, gamma)
 
 
+class IsoTable:
+    """iso_coefficients of a fixed list of pipes, evaluated as arrays.
+
+    The parts that do not depend on the operating point (alpha, beta_pr
+    and the factors of beta_pl and gamma) are held per pipe. at() takes
+    the operands of iso_coefficients in its order, so every entry equals
+    it bit for bit. p_l^2 is np.float_power(p_l, 2.0): like Python's **
+    it calls the C library's pow, while np.power squares, which rounds
+    differently in about one case in a thousand.
+    """
+
+    def __init__(self, params, gas: GasProperties):
+        rtz = gas.R_s * gas.T_0 * gas.z_0
+        rows = []
+        for par in params:
+            lam = par.require_lambda()
+            A_c, L, d, h = par.A_c, par.L, par.d, par.h
+            rows.append((-rtz / (A_c * L), -A_c / L, A_c / L, lam * rtz / (2.0 * d * A_c),
+                         A_c * G_STD * h / (rtz * L), lam * rtz / (d * A_c)))
+        (self.alpha, self.beta_pr, self._beta_pl0, self._friction_pl, self._elevation,
+         self._friction_q) = np.array(rows, dtype=float).reshape(-1, 6).T
+
+    def at(self, q, p_l) -> np.ndarray:
+        """(K, 4 P) table of (alpha, beta_pr, beta_pl, gamma) per pipe, in pipe order.
+
+        q holds the P pipe flows and p_l the (K, P) left pressures of K
+        operating points; each p_l must be strictly positive.
+        """
+        q, p_l = np.asarray(q, dtype=float), np.asarray(p_l, dtype=float)
+        q_abs = np.abs(q)
+        table = np.empty((*p_l.shape, 4))
+        table[..., 0] = self.alpha
+        table[..., 1] = self.beta_pr
+        table[..., 2] = (self._beta_pl0 + self._friction_pl * q * q_abs / np.float_power(p_l, 2.0)
+                         - self._elevation)
+        table[..., 3] = -self._friction_q * q_abs / p_l
+        return table.reshape(len(p_l), -1)
+
+
 def rhs_2d(x, u, params: PipeParams, gas: GasProperties):
     """Nonlinear isothermal pipe ODE right-hand side in absolute variables.
 

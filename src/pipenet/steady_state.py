@@ -29,6 +29,14 @@ it reads h(y) = y - ln base + grav + c e^(-2y) = 0 with c < 0; h is
 strictly increasing and concave, so Newton from its lower bound
 y = ln base - grav climbs to the unique root without overflow. Newton
 on p_r from that root then restores the bits that ln p_r cannot hold.
+
+An iterate whose cube underflows to zero or overflows (outside about
+1e-108 < p_r < 1e102), or whose exp overflows, leaves the floating-point
+range of update and its slope: the solve raises NumericalError.
+
+exact_root is the solve on (base, c, grav): exact_nominal_pr for one
+pipe, and netspec.CompiledNetwork.spread once per pipe and gain value,
+with coef and grav held per pipe (relation_constants).
 """
 
 from __future__ import annotations
@@ -40,6 +48,8 @@ from .errors import DomainError, NumericalError
 
 _REL_TOL = 1e-12
 _MAX_ITER = 200
+
+_DIVERGED = "steady-state solve diverged"
 
 
 def _newton_root(update, slope, base: float) -> float:
@@ -64,7 +74,7 @@ def _newton_root(update, slope, base: float) -> float:
     g_lo = lo - update(lo)
     g_hi = hi - update(hi)
     if g_lo * g_hi > 0:
-        raise NumericalError("steady-state solve diverged")
+        raise NumericalError(_DIVERGED)
     for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
         g_mid = mid - update(mid)
@@ -74,7 +84,7 @@ def _newton_root(update, slope, base: float) -> float:
             hi = mid
         else:
             lo, g_lo = mid, g_mid
-    raise NumericalError("steady-state solve diverged")
+    raise NumericalError(_DIVERGED)
 
 
 def _check_inputs(p_l_ss, T_l_ss, T_r_ss):
@@ -84,15 +94,33 @@ def _check_inputs(p_l_ss, T_l_ss, T_r_ss):
         raise DomainError("nominal temperatures must be strictly positive")
 
 
+def relation_constants(T_r_ss: float, params: PipeParams, gas: GasProperties):
+    """Friction coefficient coef and elevation exponent grav of the relation at T_r.
+
+    Neither depends on the operating point, so a network holds them per
+    pipe; c = coef q|q| then gives the root on (base, c, grav).
+    """
+    lam = params.require_lambda()
+    Rz = gas.R_s * gas.z_0
+    grav = G_STD * params.h / (Rz * T_r_ss)
+    coef = lam * params.L * Rz * T_r_ss / (2.0 * params.d * params.A_c**2)
+    return coef, grav
+
+
 def _relation(p_l_ss, T_l_ss, T_r_ss, params, gas):
     """base = p_l^(T_l/T_r), friction coefficient coef and elevation exponent grav."""
     _check_inputs(p_l_ss, T_l_ss, T_r_ss)
-    lam = params.require_lambda()
-    Rz = gas.R_s * gas.z_0
-    base = p_l_ss ** (T_l_ss / T_r_ss)
-    grav = G_STD * params.h / (Rz * T_r_ss)
-    coef = lam * params.L * Rz * T_r_ss / (2.0 * params.d * params.A_c**2)
-    return base, coef, grav
+    coef, grav = relation_constants(T_r_ss, params, gas)
+    return p_l_ss ** (T_l_ss / T_r_ss), coef, grav
+
+
+def _root(update, slope, base: float) -> float:
+    """_newton_root, with an iterate that leaves the float range (a power of it
+    underflowing to zero or overflowing, or exp overflowing) as NumericalError."""
+    try:
+        return _newton_root(update, slope, base)
+    except (OverflowError, ZeroDivisionError):
+        raise NumericalError(_DIVERGED) from None
 
 
 def exact_nominal_pr(p_l_ss: float, q_ss: float, T_l_ss: float, T_r_ss: float,
@@ -103,8 +131,17 @@ def exact_nominal_pr(p_l_ss: float, q_ss: float, T_l_ss: float, T_r_ss: float,
     is solved to relative residual 1e-12.
     """
     base, coef, grav = _relation(p_l_ss, T_l_ss, T_r_ss, params, gas)
-    c = coef * q_ss * abs(q_ss)
+    return exact_root(base, coef * q_ss * abs(q_ss), grav)
 
+
+def exact_root(base: float, c: float, grav: float) -> float:
+    """Root p_r of the exact relation p_r = base exp(-c/p_r^2 - grav), c = coef q|q|.
+
+    The one-pipe solve (exact_nominal_pr) and the network's spread over
+    many gain values (netspec.CompiledNetwork.spread) both end here, one
+    call per pipe and operating point. Raises NumericalError when no root
+    is found in floating point.
+    """
     def update(p_r):
         return base * math.exp(-c / p_r**2 - grav)
 
@@ -112,12 +149,12 @@ def exact_nominal_pr(p_l_ss: float, q_ss: float, T_l_ss: float, T_r_ss: float,
         return 2.0 * c * u / p_r**3
 
     try:
-        return _newton_root(update, slope, base)
-    except (NumericalError, OverflowError):
+        return _root(update, slope, base)
+    except NumericalError:
         if c >= 0.0:
-            raise NumericalError("steady-state solve diverged") from None
+            raise
     # ln p_r carries fewer significant bits than p_r; Newton on p_r restores them
-    return _newton_root(update, slope, _log_root(base, c, grav))
+    return _root(update, slope, _log_root(base, c, grav))
 
 
 def _log_root(base: float, c: float, grav: float) -> float:
@@ -125,17 +162,21 @@ def _log_root(base: float, c: float, grav: float) -> float:
 
     h(y) = y - y0 + c e^(-2y) with y0 = ln base - grav. Since c < 0,
     h(y0) < 0 and h is increasing and concave, so every Newton step stays
-    at or below the root and |c| e^(-2y) never exceeds its value at y0.
+    at or below the root and |c| e^(-2y) never exceeds its value at y0
+    (which overflows only when base is below about 1e-154: NumericalError).
     """
     y0 = math.log(base) - grav
     y = y0
     for _ in range(_MAX_ITER):
-        e = c * math.exp(-2.0 * y)
+        try:
+            e = c * math.exp(-2.0 * y)
+        except OverflowError:
+            break
         step = (y - y0 + e) / (1.0 - 2.0 * e)
         y -= step
         if abs(step) <= _REL_TOL:
             return math.exp(y)
-    raise NumericalError("steady-state solve diverged")
+    raise NumericalError(_DIVERGED)
 
 
 def approx_nominal_pr(p_l_ss: float, q_ss: float, T_l_ss: float, T_r_ss: float,
@@ -150,7 +191,7 @@ def approx_nominal_pr(p_l_ss: float, q_ss: float, T_l_ss: float, T_r_ss: float,
     def slope(p_r, u):
         return 2.0 * c * base / p_r**3
 
-    return _newton_root(update, slope, base)
+    return _root(update, slope, base)
 
 
 def isothermal_nominal(p_l_ss: float, q_ss: float, T_0: float,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import pipenet as pn
+from pipenet import steady_state
 from pipenet.errors import ConfigurationError
 
 GAS = "gas Rs=518.28 z0=0.95 T0=300\n"
@@ -24,6 +25,8 @@ BRANCH = (GAS + pipes("P0", "P1", "P2") + "branch B from=P0 into=[P1,P2]\n"
 SERIES = GAS + pipes("A", "B") + "series S pipes=[A,B]\ninput a = S.l\ninput b = S.r\n"
 GAIN_AT_END = (GAS + pipes("P") + "gain G k=2\nnominal * pl=25e5 q=21\n"
                "link P.r G.l\ninput up = P.l\ninput uq = G.r\n")
+GAIN_BETWEEN = (GAS + pipes("A") + "gain G k=2\n" + pipes("B") + "nominal * pl=25e5 q=21\n"
+                "link A.r G.l\nlink G.r B.l\ninput up = A.l\ninput uq = B.r\n")
 
 
 @pytest.mark.parametrize("text, message", [
@@ -51,6 +54,20 @@ def test_sweep_to_zero_gain():
     with pytest.raises(ConfigurationError) as err:
         pn.stability_margin_sweep(spec, "G", np.array([1.0, 0.0]))
     assert str(err.value) == "gain k must be nonzero"
+
+
+@pytest.mark.parametrize("text", [GAIN_AT_END, GAIN_BETWEEN], ids=["at_end", "between"])
+@pytest.mark.parametrize("k, message", [(0.0, "gain k must be nonzero"),
+                                        (float("nan"), "gain k must be finite, got nan")],
+                         ids=["zero", "nan"])
+def test_sweep_checks_every_gain_before_solving(monkeypatch, text, k, message):
+    # a bad k is one ConfigurationError wherever the gain sits, raised before any solve
+    solves = []
+    monkeypatch.setattr(steady_state, "_newton_root", lambda *args: solves.append(args))
+    with pytest.raises(ConfigurationError) as err:
+        pn.stability_margin_sweep(pn.parse(text), "G", np.array([1.0, 2.0, k]))
+    assert str(err.value) == message
+    assert solves == []
 
 
 @pytest.mark.parametrize("k", ["nan", "inf", "-inf"])

@@ -4,6 +4,7 @@ import pytest
 from pipenet import cli
 
 from conftest import LOOP_TEXT
+from test_build_errors import GAIN_BETWEEN
 
 
 @pytest.fixture
@@ -136,3 +137,22 @@ def test_strong_reverse_flow_builds(tmp_path, capsys):
                     "input pl = P.l\ninput qr = P.r\n")
     assert run(["build", str(path)]) == 0
     assert "states=2 inputs=2 outputs=2" in capsys.readouterr().out
+
+
+ONE_TINY_PIPE = ("gas Rs=518.28 z0=0.95 T0=300\npipe P L=10 d=0.7 lambda=0.01\n"
+                 "nominal * pl=1e-160 q={q}\ninput up = P.l\ninput uq = P.r\n")
+
+
+@pytest.mark.parametrize("text, args", [
+    # the exit-pressure solve of the declared nominal leaves the float range:
+    # p_r^3 underflows, and with reverse flow exp overflows
+    (ONE_TINY_PIPE.format(q=21), ["build"]),
+    (ONE_TINY_PIPE.format(q=-21), ["build"]),
+    # k = 1e-300 carries 25e5 Pa to 2.5e-294 Pa at B's inlet
+    (GAIN_BETWEEN, ["sweep", "--element", "G", "--kmin", "1e-300", "--kmax", "1", "--n", "3"]),
+], ids=["tiny_pl", "tiny_pl_reverse", "tiny_gain"])
+def test_pressure_out_of_float_range_exit_one(tmp_path, capsys, text, args):
+    path = tmp_path / "tiny.pipenet"
+    path.write_text(text)
+    assert run([args[0], str(path), *args[1:]]) == 1
+    assert capsys.readouterr().err == "error: steady-state solve diverged\n"
