@@ -211,6 +211,8 @@ def log_grid(wmin: float, wmax: float, n: int | None = None) -> np.ndarray:
         raise ConfigurationError("need 0 < wmin < wmax")
     if n is None:
         n = max(2, int(round(200 * np.log10(wmax / wmin))))
+    if n < 1:
+        raise ConfigurationError(f"need n >= 1 grid points, got {n}")
     return np.logspace(np.log10(wmin), np.log10(wmax), n)
 
 

@@ -3,7 +3,14 @@
 All numeric output is CSV (comma separated, '.' decimal, header row, LF
 line endings) written to stdout or, with -o, to a file. The environment
 variable PIPENET_PRECISION controls printed precision (significant
-digits, default 6).
+digits p, default 6).
+
+Every number is printed exactly as Python's "%.pg" % x prints it. Tables
+of 1024 cells or more are formatted by csvfmt in blocks of rows with
+numpy arithmetic, which decides the digits of most cells and hands the
+rest (nan, inf, near-ties of the rounding, exponents beyond +-290) to
+"%" cell by cell; each block is written as soon as it is made. Smaller
+tables, and every table at p >= 15, are printed with one "%" per row.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import warnings
 
 import numpy as np
 
-from . import analysis, netspec, simulate
+from . import analysis, csvfmt, netspec, simulate
 from .errors import ConfigurationError, NominalWarning, PipenetError
 from .interconnect import select_outputs
 
@@ -31,35 +38,23 @@ def _precision() -> int:
     return max(1, p)
 
 
-def _fmt(x, p: int) -> str:
-    return f"{x:.{p}g}"
-
-
-def _emit(lines, path=None):
-    text = "\n".join(lines) + "\n"
+def _emit(blocks, path=None):
+    """Write each block of CSV bytes as it is made, to stdout or to path."""
     if path is None:
-        sys.stdout.write(text)
+        for block in blocks:
+            sys.stdout.write(block.decode())
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.writelines(blocks)
 
 
 def _csv(header, rows, labels=None):
-    """CSV lines: the header, then one line per row of a 2-D float array.
+    """CSV blocks: the header, then one line per row of a 2-D float array.
 
     labels, if given, prefix each row with a text cell. Every number is
-    printed as by _fmt ("%.pg" and f"{x:.pg}" agree on all floats).
+    printed as "%.pg" % x at p = _precision(); see csvfmt.
     """
-    rows = np.asarray(rows, dtype=float)
-    cells = [f"%.{_precision()}g"] * rows.shape[1]
-    lines = [",".join(header)]
-    if labels is None:
-        fmt = ",".join(cells)
-        lines += [fmt % tuple(row) for row in rows.tolist()]
-    else:
-        fmt = ",".join(["%s"] + cells)
-        lines += [fmt % (lab, *row) for lab, row in zip(labels, rows.tolist())]
-    return lines
+    return csvfmt.table(header, np.asarray(rows, dtype=float), _precision(), labels)
 
 
 def _load_closed(path):
@@ -137,9 +132,14 @@ def cmd_sim(args) -> int:
         if not 0.0 < value < math.inf:
             raise ConfigurationError(f"{name} must be a positive finite number, got {value}")
     spec, model = _load_closed(args.file)
-    n_steps = int(round(args.T / args.dt)) + 1
-    t = np.arange(n_steps) * args.dt
-    u = np.zeros((n_steps, model.n_inputs))
+    steps = args.T / args.dt
+    try:
+        n_steps = int(round(steps)) + 1
+        t = np.arange(n_steps) * args.dt
+        u = np.zeros((n_steps, model.n_inputs))
+    except (OverflowError, ValueError, MemoryError):
+        raise ConfigurationError(
+            f"--T / --dt gives {steps:.6g} steps, too many to allocate") from None
     if args.inputs:
         data = np.genfromtxt(args.inputs, delimiter=",", names=True)
         names = data.dtype.names
@@ -165,11 +165,13 @@ def cmd_mason(args) -> int:
     spec = netspec.load(args.file)
     stacked, conn = netspec.elaborate(spec)
     dev = analysis.mason_check(stacked, conn, _omega_grid(args), netspec.build_closed(spec))
-    print(f"max relative deviation = {_fmt(dev, _precision())}")
+    print("max relative deviation = %.*g" % (_precision(), dev))
     return 0 if dev <= MASON_EXIT_TOLERANCE else 2
 
 
 def cmd_sweep(args) -> int:
+    if args.n < 1:
+        raise ConfigurationError(f"--n must be at least 1, got {args.n}")
     spec = netspec.load(args.file)
     ks = np.linspace(args.kmin, args.kmax, args.n)
     with warnings.catch_warnings(record=True) as caught:

@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import csvfmt
 from .core import GasProperties, PipeParams, StateSpaceModel
 from .errors import ConfigurationError, NumericalError
 from .pipe_dynamics import rhs_2d, rhs_3d
@@ -51,10 +52,10 @@ class TimeSeries:
             raise KeyError(f"unknown channel {label!r}") from None
 
     def to_csv(self, path) -> None:
-        header = ",".join(("t",) + self.labels)
+        """Write t and every channel to path as CSV, each number as "%.12g"."""
         data = np.column_stack([self.t, self.values])
-        np.savetxt(path, data, delimiter=",", header=header, comments="",
-                   newline="\n", fmt="%.12g")
+        with open(path, "wb") as fh:
+            fh.writelines(csvfmt.table(("t",) + self.labels, data, 12))
 
 
 def zoh_discretize(model: StateSpaceModel, dt: float) -> tuple[np.ndarray, np.ndarray]:

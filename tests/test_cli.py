@@ -86,12 +86,6 @@ def test_sweep_csv(loop_file, capsys):
     assert len(lines) == 4
 
 
-def test_sweep_of_no_gains_prints_header_only(loop_file, capsys):
-    assert run(["sweep", loop_file, "--element", "C",
-                "--kmin", "4", "--kmax", "8", "--n", "0"]) == 0
-    assert capsys.readouterr().out == "k,max_re\n"
-
-
 def test_malformed_file_exit_one(tmp_path, capsys):
     bad = tmp_path / "bad.pipenet"
     bad.write_text("pipe P L=1\n")
@@ -156,3 +150,24 @@ def test_pressure_out_of_float_range_exit_one(tmp_path, capsys, text, args):
     path.write_text(text)
     assert run([args[0], str(path), *args[1:]]) == 1
     assert capsys.readouterr().err == "error: steady-state solve diverged\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["bode", "--n", "0"], "need n >= 1 grid points, got 0"),
+    (["mason", "--n", "-2"], "need n >= 1 grid points, got -2"),
+    (["sweep", "--element", "C", "--kmin", "4", "--kmax", "8", "--n", "0"],
+     "--n must be at least 1, got 0"),
+    (["sweep", "--element", "C", "--kmin", "4", "--kmax", "8", "--n", "-3"],
+     "--n must be at least 1, got -3"),
+], ids=["bode_0", "mason_negative", "sweep_0", "sweep_negative"])
+def test_grid_of_no_points_exit_one(loop_file, capsys, args, message):
+    assert run([args[0], loop_file, *args[1:]]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("dt, T", [("1e-12", "1e12"), ("1e-300", "1e300")])
+def test_sim_grid_too_large_exit_one(loop_file, capsys, dt, T):
+    # 1e24 steps exceed numpy's maximum array size; 1e600 overflows float
+    assert run(["sim", loop_file, "--dt", dt, "--T", T]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --T / --dt gives ") and err.endswith("too many to allocate\n")
