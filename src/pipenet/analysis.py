@@ -10,8 +10,13 @@ one netspec.build_closed assembles (the build path).
 
 freq_response is the path for grids: it factors the sparse resolvent
 i w I - A once per frequency (scipy's SuperLU), so its cost follows the
-nonzeros of A. transfer_at is the dense single-point evaluation that
-mason_check and the tests use as the reference.
+nonzeros of A. Its CSC pattern is built once per call from the model's
+entries view (StateSpaceModel.entries; a built model reads A only at
+the node rule's pattern, never scanning it), each frequency refills only
+the diagonal, and C is applied as a gather. H is bit for bit what a
+fresh sparse matrix and dense C products at every frequency give
+(tests/test_resolvent.py). transfer_at is the dense single-point
+evaluation that mason_check and the tests use as the reference.
 
 Singularity tests use one dense LU (_lu), which then also solves. Every
 test rejects an exactly zero pivot. The DC gain is undefined when A has an
@@ -179,11 +184,19 @@ def transfer_at(model: StateSpaceModel, s: complex) -> np.ndarray:
 def freq_response(model: StateSpaceModel, omegas) -> FrequencyResponse:
     """Frequency response over a grid of angular frequencies [rad/s].
 
-    One sparse LU of i w I - A per frequency, then one solve for all of B.
+    Builds the CSC pattern of i w I - A once, from the model's entries
+    view: -A plus the whole diagonal. Each frequency copies its values,
+    adds i w on the diagonal, takes one sparse LU and one solve for all of
+    B, and applies C as a gather. At w = 0 the diagonal entries that are
+    zero are dropped, as the matrix 0 I - A holds none: SuperLU orders the
+    columns by the structure, so the same structure gives the same
+    factors. Raises ConfigurationError unless every frequency is finite
+    and nonnegative, and NumericalError on non-finite entries of A or B
+    or an exactly singular factor.
     """
     omegas = np.asarray(omegas, dtype=float)
-    if np.any(omegas < 0):
-        raise ConfigurationError("frequencies must be nonnegative")
+    if not np.all((omegas >= 0) & (omegas < np.inf)):
+        raise ConfigurationError("frequencies must be finite and nonnegative")
     H = np.empty((len(omegas), model.n_outputs, model.n_inputs), dtype=complex)
     if model.n_states == 0:
         H[:] = model.D
@@ -191,17 +204,30 @@ def freq_response(model: StateSpaceModel, omegas) -> FrequencyResponse:
     from scipy import sparse  # deferred: import pipenet loads numpy only
     from scipy.sparse.linalg import splu
 
-    A = sparse.csc_matrix(model.A)
-    eye = sparse.identity(model.n_states, dtype=complex, format="csc")
+    n, e = model.n_states, model.entries
+    if not (np.all(np.isfinite(e.values)) and np.all(np.isfinite(model.B))):
+        raise NumericalError("non-finite entries in A or B")
+    diag = np.arange(n)
+    M = sparse.csc_matrix((np.concatenate([-e.values, np.zeros(n)]),
+                           (np.concatenate([e.rows, diag]), np.concatenate([e.cols, diag]))),
+                          shape=(n, n), dtype=complex)  # sorted indices, duplicates summed
+    slots = np.flatnonzero(M.indices == np.repeat(diag, np.diff(M.indptr)))
+    values = M.data.copy()
     B = model.B.astype(complex)
-    for k, w in enumerate(omegas):
+    for k, w in enumerate(omegas.tolist()):
+        M.data[:] = values  # SuperLU keeps its own factors, so M is refilled in place
+        M.data[slots] += 1j * w
+        R = M
+        if not w:  # drop the zero diagonal; eliminate_zeros compacts indices in place
+            R = M.copy()
+            R.eliminate_zeros()
         try:
-            lu = splu(1j * w * eye - A)
+            lu = splu(R)
         except RuntimeError:  # SuperLU: "Factor is exactly singular"
             raise _singular_resolvent(1j * w) from None
         X = lu.solve(B)
-        # two real products; C @ X would copy C to complex at every frequency
-        H[k] = model.C @ X.real + 1j * (model.C @ X.imag) + model.D
+        # two real gathers, each summed from +0.0 as the product C @ X.real is
+        H[k] = e.outputs(X.real.T).T + 1j * e.outputs(X.imag.T).T + model.D
     return FrequencyResponse(omegas, H)
 
 

@@ -92,7 +92,8 @@ def simulate_lti(model: StateSpaceModel, t: np.ndarray, u, x0=None) -> TimeSerie
     """Simulate an LTI model on a uniform time grid with ZOH inputs.
 
     u may be a constant vector (held for all time) or an array of shape
-    (len(t), n_inputs) sampled at the grid points. Returns the outputs.
+    (len(t), n_inputs) sampled at the grid points; u and x0 must be
+    finite. Returns the outputs.
     """
     t = np.asarray(t, dtype=float)
     if len(t) < 2:
@@ -100,19 +101,29 @@ def simulate_lti(model: StateSpaceModel, t: np.ndarray, u, x0=None) -> TimeSerie
     dts = np.diff(t)
     if not np.allclose(dts, dts[0], rtol=1e-9, atol=0.0):
         raise ConfigurationError("time grid must be uniform")
-    u = _input_array(u, len(t), model.n_inputs)
+    u = np.ascontiguousarray(_input_array(u, len(t), model.n_inputs))
+    if not np.all(np.isfinite(u)):
+        raise ConfigurationError("inputs must be finite")
     if x0 is None:
         x0 = np.zeros(model.n_states)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.n_states,):
         raise ConfigurationError("bad initial state dimension")
+    if not np.all(np.isfinite(x0)):
+        raise ConfigurationError("initial state must be finite")
 
     Ad, Bd = zoh_discretize(model, float(dts[0]))
+    # Bd u[k] is taken only where row k differs bitwise from row k - 1: the
+    # same bits give the same product, so X is what a product per step gives
+    bits = u.view(np.uint64)
+    changed = [True] + np.any(bits[1:] != bits[:-1], axis=1).tolist()
     X = np.empty((len(t), model.n_states))
     X[0] = x0
     for k in range(len(t) - 1):
-        X[k + 1] = Ad @ X[k] + Bd @ u[k]
-    Y = X @ model.C.T + u @ model.D.T
+        if changed[k]:
+            bu = Bd @ u[k]
+        X[k + 1] = Ad @ X[k] + bu
+    Y = model.entries.outputs(X) + u @ model.D.T
     return TimeSeries(t, Y, tuple(str(s) for s in model.output_labels))
 
 
