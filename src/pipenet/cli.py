@@ -194,84 +194,60 @@ def _add_grid(p):
     p.add_argument("--n", type=int, default=20)
 
 
-def _add_build(p):
+def build_parser() -> argparse.ArgumentParser:
+    ap = argparse.ArgumentParser(prog="pipenet",
+                                 description="LTI models of gas pipe networks")
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("build", help="summarize the closed network model")
     _add_common(p)
     p.add_argument("--dump-matrices", default=None, metavar="PREFIX",
                    help="write A,B,C,D as PREFIX.{A,B,C,D}.csv")
     p.add_argument("--select", default=None,
                    help="comma-separated output labels to keep")
+    p.set_defaults(func=cmd_build)
 
-
-def _add_dcgain(p):
+    p = sub.add_parser("dcgain", help="steady-state gain matrix")
     _add_common(p)
     p.add_argument("--flows-only", action="store_true",
                    help="rows restricted to mass-flow channels")
+    p.set_defaults(func=cmd_dcgain)
 
+    p = sub.add_parser("eig", help="closed-loop eigenvalues")
+    _add_common(p)
+    p.set_defaults(func=cmd_eig)
 
-def _add_bode(p):
+    p = sub.add_parser("bode", help="frequency response samples")
     _add_common(p)
     _add_grid(p)
+    p.set_defaults(func=cmd_bode)
 
-
-def _add_sim(p):
+    p = sub.add_parser("sim", help="linear time-domain simulation")
     _add_common(p)
     p.add_argument("--dt", type=float, required=True)
     p.add_argument("--T", type=float, required=True)
     p.add_argument("--inputs", default=None,
                    help="CSV of input channels (1 row = constant)")
+    p.set_defaults(func=cmd_sim)
 
-
-def _add_mason(p):
+    p = sub.add_parser("mason", help="signal-flow-graph equivalence check")
     p.add_argument("file")
     _add_grid(p)
+    p.set_defaults(func=cmd_mason)
 
-
-def _add_sweep(p):
+    p = sub.add_parser("sweep", help="gain sweep of the stability margin")
     _add_common(p)
     p.add_argument("--element", required=True)
     p.add_argument("--kmin", type=float, required=True)
     p.add_argument("--kmax", type=float, required=True)
     p.add_argument("--n", type=int, default=25)
+    p.set_defaults(func=cmd_sweep)
 
-
-# name -> (help, handler, adds the arguments), in the order `pipenet -h` lists them
-_COMMANDS = {
-    "build": ("summarize the closed network model", cmd_build, _add_build),
-    "dcgain": ("steady-state gain matrix", cmd_dcgain, _add_dcgain),
-    "eig": ("closed-loop eigenvalues", cmd_eig, _add_common),
-    "bode": ("frequency response samples", cmd_bode, _add_bode),
-    "sim": ("linear time-domain simulation", cmd_sim, _add_sim),
-    "mason": ("signal-flow-graph equivalence check", cmd_mason, _add_mason),
-    "sweep": ("gain sweep of the stability margin", cmd_sweep, _add_sweep),
-}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    return _parser(_COMMANDS)
-
-
-def _parser(names) -> argparse.ArgumentParser:
-    """The pipenet parser with the subcommands in names."""
-    ap = argparse.ArgumentParser(prog="pipenet",
-                                 description="LTI models of gas pipe networks")
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name in names:
-        help_, func, add = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_)
-        add(p)
-        p.set_defaults(func=func)
     return ap
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # a named subcommand parses alone in its own subparser. -h, no command,
-    # an unknown one and unrecognized arguments take the full parser, whose
-    # usage line lists every subcommand.
-    named = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
-    args, extra = _parser(named).parse_known_args(argv)
-    if extra:
-        args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except PipenetError as exc:

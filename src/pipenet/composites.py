@@ -43,13 +43,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
 
-from .core import (GasProperties, OperatingPoint, PipeParams, SignalLabel, StateSpaceModel,
-                   with_node_rule)
+from .core import GasProperties, OperatingPoint, PipeParams, SignalLabel, StateSpaceModel
 from .errors import ConfigurationError, NumericalError
 # linearize_2d stays importable here: perfbench/tracer.py wraps composites.linearize_2d
 from .pipe_dynamics import iso_coefficients, linearize_2d  # noqa: F401
@@ -296,21 +295,6 @@ class NodeRule:
             return shape, flat, None, cols[2]
         return shape, flat, np.where(cols[2] < 0, n_pipe_slots - 1 - cols[2], cols[2]), cols[3]
 
-    @cached_property
-    def entry_pattern(self):
-        """(A's distinct flat positions, C's column in each output row) of every fill.
-
-        The positions are sorted, so row-major; every nonzero of a filled A
-        sits at one of them. An output resolves to one state or one input,
-        so a row of C holds at most one entry; an empty row gets column 0.
-        core.ModelEntries reads a filled model's entries at these positions.
-        """
-        n_states, _, n_outputs = self.shape
-        c_rows, c_at = np.divmod(self._patterns[2][1], max(n_states, 1))
-        c_cols = np.zeros(n_outputs, np.intp)
-        c_cols[c_rows] = c_at
-        return np.unique(self._patterns[0][1]), c_cols
-
     def fill(self, coef, gains, matrices: int = 4):
         """A, B, C, D and each two-feeder node's delta = alpha_1/(alpha_1 + alpha_2), per lane.
 
@@ -382,9 +366,8 @@ def _assemble(kind: str, pipes, gas: GasProperties | None, member_ids,
     """
     member_ids = tuple(member_ids)
     states, inputs, outputs, ports = element_signals(kind, member_ids)
-    rule = _rule(kind, len(member_ids))
-    A, B, C, D, delta = rule.fill(coefficient_row(pipes, gas), [gains])
-    model = with_node_rule(StateSpaceModel(A[0], B[0], C[0], D[0], states, inputs, outputs), rule)
+    A, B, C, D, delta = _rule(kind, len(member_ids)).fill(coefficient_row(pipes, gas), [gains])
+    model = StateSpaceModel(A[0], B[0], C[0], D[0], states, inputs, outputs)
     return CompositeModel(model, kind, member_ids, ports,
                           delta=float(delta[0, 0]) if delta.size else None)
 

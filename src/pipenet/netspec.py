@@ -753,13 +753,11 @@ class CompiledNetwork:
     def model(self, ops=None, gains=None) -> StateSpaceModel:
         """The closed network model at ops and gains (default: declared nominals and gains).
 
-        The labelled form of _fill; its entries view reads A at the node
-        rule's pattern. Equals close(*elaborate(spec, steady)) with the
-        inputs named, where steady carries ops.
+        The labelled form of _fill. Equals close(*elaborate(spec, steady))
+        with the inputs named, where steady carries ops.
         """
-        states, inputs, outputs, rule = self._closure
-        return core.with_node_rule(
-            StateSpaceModel(*self._fill(ops, gains), states, inputs, outputs), rule)
+        states, inputs, outputs, _ = self._closure
+        return StateSpaceModel(*self._fill(ops, gains), states, inputs, outputs)
 
 
 def network_steady_state(spec: NetworkSpec) -> NetworkSteadyState:

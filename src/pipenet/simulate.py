@@ -101,7 +101,7 @@ def simulate_lti(model: StateSpaceModel, t: np.ndarray, u, x0=None) -> TimeSerie
     dts = np.diff(t)
     if not np.allclose(dts, dts[0], rtol=1e-9, atol=0.0):
         raise ConfigurationError("time grid must be uniform")
-    u = np.ascontiguousarray(_input_array(u, len(t), model.n_inputs))
+    u = _input_array(u, len(t), model.n_inputs)
     if not np.all(np.isfinite(u)):
         raise ConfigurationError("inputs must be finite")
     if x0 is None:
@@ -113,17 +113,11 @@ def simulate_lti(model: StateSpaceModel, t: np.ndarray, u, x0=None) -> TimeSerie
         raise ConfigurationError("initial state must be finite")
 
     Ad, Bd = zoh_discretize(model, float(dts[0]))
-    # Bd u[k] is taken only where row k differs bitwise from row k - 1: the
-    # same bits give the same product, so X is what a product per step gives
-    bits = u.view(np.uint64)
-    changed = [True] + np.any(bits[1:] != bits[:-1], axis=1).tolist()
     X = np.empty((len(t), model.n_states))
     X[0] = x0
     for k in range(len(t) - 1):
-        if changed[k]:
-            bu = Bd @ u[k]
-        X[k + 1] = Ad @ X[k] + bu
-    Y = model.entries.outputs(X) + u @ model.D.T
+        X[k + 1] = Ad @ X[k] + Bd @ u[k]
+    Y = X @ model.C.T + u @ model.D.T
     return TimeSeries(t, Y, tuple(str(s) for s in model.output_labels))
 
 

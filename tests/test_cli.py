@@ -173,27 +173,6 @@ def test_sim_grid_too_large_exit_one(loop_file, capsys, dt, T):
     assert err.startswith("error: --T / --dt gives ") and err.endswith("too many to allocate\n")
 
 
-def parse_outcome(parse, argv, capsys):
-    """(exit code, stdout, stderr) of one parse that exits."""
-    with pytest.raises(SystemExit) as stop:
-        parse(argv)
-    out, err = capsys.readouterr()
-    return stop.value.code, out, err
-
-
-@pytest.mark.parametrize("argv", [
-    ["-h"], [], ["frob", "x"], ["--version"],
-    *([name, "-h"] for name in ("build", "dcgain", "eig", "bode", "sim", "mason", "sweep")),
-    ["sim", "net.pipenet"], ["sim", "net.pipenet", "--dt", "abc", "--T", "1"],
-    ["bode", "net.pipenet", "--n", "x"], ["sweep", "net.pipenet", "--kmin", "1"],
-    ["build"], ["eig", "net.pipenet", "--bogus"], ["mason", "-o", "x.csv", "net.pipenet"],
-], ids=lambda argv: " ".join(argv) or "no-arguments")
-def test_parse_exits_as_the_full_parser_does(argv, capsys):
-    # main builds only the named subcommand's parser; help and errors must not show it
-    assert (parse_outcome(cli.main, argv, capsys)
-            == parse_outcome(cli.build_parser().parse_args, argv, capsys))
-
-
 def test_sim_nonfinite_input_cell_exit_one(loop_file, tmp_path, capsys):
     inputs = tmp_path / "u.csv"
     inputs.write_text("fill,dist,vent\n0,nan,0\n")

@@ -78,33 +78,27 @@ def test_response_is_bit_identical_to_the_reference(models):
             assert_matches_reference(model, GRID)
 
 
-def same_entries(e, ref):
-    return all(same_bits(getattr(e, name), getattr(ref, name))
-               for name in ("rows", "cols", "values", "c_cols", "c_factors"))
-
-
-def test_built_models_read_entries_at_the_node_rule_pattern(models):
-    # the view reads A at the rule's positions, and equals a scan of A and C
+def test_entries_are_the_nonzeros_of_a(models):
     for model in models:
-        assert "_node_rule" in model.__dict__
         e = model.entries
         rows, cols = np.nonzero(model.A)
         assert same_bits(e.rows, rows) and same_bits(e.cols, cols)
         assert same_bits(e.values, model.A[rows, cols])
-        assert same_entries(e, ModelEntries(model.A, model.C))
         for a in (e.rows, e.cols, e.values):
             assert not a.flags.writeable
+        if model.n_states:
+            C = np.zeros_like(model.C)
+            C[np.arange(len(C)), e.c_cols] = e.c_factors
+            assert same_bits(C, model.C)
 
 
-def test_every_lane_of_a_fill_reads_its_entries_at_the_pattern(loop_spec):
+def test_gather_equals_the_product_on_every_lane_of_a_fill(loop_spec):
     net = netspec.CompiledNetwork(loop_spec)
     rows = np.array([net.gains_with("C", k) for k in (4.0, 40.0, 100.0)])
     spread = net.spread(rows)
-    rule = net._closure[3]
-    A, _, C, _, _ = rule.fill(net._iso.at(spread.q, spread.p_l.T), rows)
+    A, _, C, _, _ = net._closure[3].fill(net._iso.at(spread.q, spread.p_l.T), rows)
     for lane in range(len(rows)):
-        e = ModelEntries(A[lane], C[lane], *rule.entry_pattern)
-        assert same_entries(e, ModelEntries(A[lane], C[lane]))
+        e = ModelEntries(A[lane], C[lane])
         X = np.random.default_rng(lane).standard_normal((4, A.shape[1]))
         assert same_bits(e.outputs(X), X @ C[lane].T)
 
@@ -113,7 +107,7 @@ def test_replaced_model_derives_its_own_entries(models):
     model = models[0]
     model.entries  # noqa: B018 - cache the view before the copy
     doubled = dataclasses.replace(model, A=2 * model.A)
-    assert "entries" not in doubled.__dict__ and "_node_rule" not in doubled.__dict__
+    assert "entries" not in doubled.__dict__
     assert same_bits(doubled.entries.values, 2 * model.entries.values)
     assert_matches_reference(doubled, GRID)
     assert not np.array_equal(analysis.freq_response(doubled, GRID[1:]).H,
@@ -159,11 +153,25 @@ def test_nonfinite_a_is_a_numerical_error(models):
 
 
 def test_element_rule_entries_of_every_kind():
-    # the make_* path: one element alone, its pattern against a scan of its A and C
+    # one element alone: the gather applies wherever the element has states
     for kind, n in (("pipe", 1), ("joint", 3), ("branch", 3), ("series", 4), ("gain", 1)):
         rule = composites._rule(kind, n)
         coef = np.random.default_rng(n).uniform(0.5, 2.0, (1, 4 * (0 if kind == "gain" else n)))
         A, _, C, _, _ = rule.fill(coef, [[1.7] if kind == "gain" else []])
-        e = ModelEntries(A[0], C[0], *rule.entry_pattern)
-        assert same_entries(e, ModelEntries(A[0], C[0]))
+        e = ModelEntries(A[0], C[0])
         assert (e.c_cols is None) == (kind == "gain")
+        X = np.random.default_rng(n).standard_normal((3, A.shape[1]))
+        assert same_bits(e.outputs(X), X @ C[0].T)
+
+
+def test_overflowed_states_take_the_dense_product():
+    # x0 = 1e10 / 1e-300 overflows at w = 0; the dense product reads 0 * inf = nan
+    # in the output of the finite state x1, and so must the gather
+    m = StateSpaceModel(np.diag([-1e-300, -1.0]), np.array([[1e10], [1.0]]), np.eye(2),
+                        np.zeros((2, 1)), ["x0", "x1"], ("u",), ("a", "b"))
+    with np.errstate(invalid="ignore"):
+        X = np.array([[np.inf, 1.0], [-np.inf, np.nan]])
+        assert same_bits(m.entries.outputs(X), X @ m.C.T)
+        H = analysis.freq_response(m, [0.0]).H[0]
+        assert same_bits(H, reference_response(m, [0.0])[0])
+    assert np.isnan(H[1, 0].real)

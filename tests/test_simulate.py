@@ -194,33 +194,6 @@ def test_flush_changes_only_negligible_outputs():
     assert np.abs(y[changed] - ref[changed]).max(initial=0.0) < 1e-300
 
 
-def every_step_outputs(model, t, u):
-    """The ZOH recurrence with Bd u[k] taken at every step and C applied densely."""
-    Ad, Bd = simulate.zoh_discretize(model, t[1] - t[0])
-    X = np.zeros((len(t), model.n_states))
-    for k in range(len(t) - 1):
-        X[k + 1] = Ad @ X[k] + Bd @ u[k]
-    return X @ model.C.T + u @ model.D.T
-
-
-@pytest.mark.parametrize("text", [mesh_text(25, np.random.default_rng(5)),
-                                  chain_text(200, np.random.default_rng(7))],
-                         ids=["mesh25", "chain200"])
-def test_inputs_held_or_changing_give_the_every_step_outputs(text):
-    # Bd u[k] is reused while u holds bitwise; -0.0 after 0.0 counts as a change
-    model = pn.build_closed(pn.parse(text))
-    t = np.arange(301) * 0.5
-    rng = np.random.default_rng(3)
-    u = np.repeat(rng.standard_normal((6, model.n_inputs)), 50, axis=0)[:len(t) - 1]
-    u = np.vstack([u, rng.standard_normal((1, model.n_inputs))])
-    u[120:140] = 0.0
-    u[140:160] = -0.0
-    u[200:] = rng.standard_normal((len(t) - 200, model.n_inputs))
-    for inputs in (u, u[:1].repeat(len(t), axis=0)):
-        y = simulate.simulate_lti(model, t, inputs).values
-        assert y.tobytes() == every_step_outputs(model, t, inputs).tobytes()
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_nonfinite_input_or_initial_state_is_a_configuration_error(pipe_params, op, gas, bad):
     m = pipe_dynamics.linearize_2d(pipe_params, op, gas)
