@@ -113,10 +113,9 @@ def cmd_bode(args) -> int:
     spec, model = _load_closed(args.file)
     omegas = _omega_grid(args)
     fr = analysis.freq_response(model, omegas)
-    header = ["omega"]
-    for o, out_lab in enumerate(model.output_labels):
-        for i, in_lab in enumerate(model.input_labels):
-            header += [f"mag:{out_lab}<-{in_lab}", f"phase:{out_lab}<-{in_lab}"]
+    ins = [str(s) for s in model.input_labels]
+    pairs = [f"{out_lab}<-{in_lab}" for out_lab in map(str, model.output_labels) for in_lab in ins]
+    header = ["omega"] + [f"{kind}:{pair}" for pair in pairs for kind in ("mag", "phase")]
     # columns omega, then (magnitude, phase) per (output, input) pair
     H = fr.H.reshape(len(omegas), -1)
     rows = np.empty((len(omegas), 1 + 2 * H.shape[1]))

@@ -3,7 +3,10 @@
 Linear models are stepped with an exact zero-order-hold discretization
 (matrix exponential of the augmented [A B; 0 0] block), so the only error
 against the continuous LTI solution is the staircase approximation of the
-input. Nonlinear models are integrated with fixed-step classical RK4 in
+input. The exponential is computed with numpy alone, by the scaling and
+squaring Pade algorithm of Al-Mohy & Higham, "A New Scaling and Squaring
+Algorithm for the Matrix Exponential", SIAM J. Matrix Anal. Appl. 31(3),
+2009. Nonlinear models are integrated with fixed-step classical RK4 in
 absolute (not deviation) variables.
 
 The discretized matrices hold no subnormal numbers: every entry of the
@@ -22,6 +25,7 @@ a 200-pipe chain every changed output has |y| < 1e-285 for unit steps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -58,22 +62,138 @@ class TimeSeries:
             fh.writelines(csvfmt.table(("t",) + self.labels, data, 12))
 
 
+# Pade approximants r_m(x) = p_m(x) / p_m(-x) of e^x (Al-Mohy & Higham 2009):
+# m -> (theta_m, 1/|c_{2m+1}|, b_0..b_m). r_m(2^-s A)^(2^s) has backward
+# error below 2^-53 when the d_k below are at most theta_m, and
+# 1/|c_{2m+1}| weighs the leading term of that error in ell(A, m).
+# theta_13 is 4.25, the value of the oracle that tests/test_expm.py
+# compares against, so that both take the same s.
+_PADE = {
+    3: (1.495585217958292e-2, 100800.0, (120.0, 60.0, 12.0, 1.0)),
+    5: (2.539398330063230e-1, 10059033600.0,
+        (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    7: (9.504178996162932e-1, 4487938430976000.0,
+        (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0)),
+    9: (2.097847961257068, 5914384781877411840000.0,
+        (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+         2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
+    13: (4.25, 113250775606021113483283660800000000.0,
+         (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+          1187353796428800.0, 129060195264000.0, 10559470521600.0,
+          670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+          16380.0, 182.0, 1.0)),
+}
+
+
+def _pade_choice(A: np.ndarray) -> tuple[int, int, np.ndarray]:
+    """Degree m and squarings s for e^A, and expm's (7, n, n) workspace.
+
+    Algorithm 5.1 of Al-Mohy & Higham (2009) with the exact 1-norms of
+    A^4, A^6, A^8 and A^10. The workspace starts with the unscaled powers
+    A^2, A^4, A^6 and, for m = 7 or 9, A^8. A must be nonzero; s = -1 says
+    that the powers overflowed.
+    """
+    n = len(A)
+    # one block for every n x n temporary, so that repeated calls reuse the
+    # same memory instead of faulting in fresh pages
+    ws = np.empty((7, n, n))
+    P = ws[:4]
+    np.matmul(A, A, out=P[0])
+    np.matmul(P[0], P[0], out=P[1])
+    np.matmul(P[1], P[0], out=P[2])
+    absA = np.abs(A, out=ws[4])
+    norm = float(absA.sum(axis=0).max())
+    ones_pow = [np.ones(n)]  # 1^T |A|^k / ||A||_1^k, at most 1: cannot overflow
+
+    def ell(m, s=0):  # squarings that the bound on r_m's error in |A| adds
+        while len(ones_pow) <= 2 * m + 1:
+            ones_pow.append(ones_pow[-1] @ absA / norm)
+        top = ones_pow[2 * m + 1].max()  # ||(|A|^(2m+1))||_1 / ||A||_1^(2m+1)
+        if top == 0.0:
+            return 0
+        log2_alpha = math.log2(top) + 2 * m * (math.log2(norm) - s) - math.log2(_PADE[m][1])
+        return max(math.ceil((log2_alpha + 53) / (2 * m)), 0)
+
+    def d(j, k):  # ||A^k||_1^(1/k) of the power in slot j
+        return float(np.abs(P[j], out=ws[5]).sum(axis=0).max()) ** (1 / k)
+
+    d4, d6 = d(1, 4), d(2, 6)
+    for m in (3, 5):
+        if max(d4, d6) < _PADE[m][0] and ell(m) == 0:
+            return m, 0, ws
+    np.matmul(P[1], P[1], out=P[3])
+    d8 = d(3, 8)
+    for m in (7, 9):
+        if max(d6, d8) < _PADE[m][0] and ell(m) == 0:
+            return m, 0, ws
+    np.matmul(P[1], P[2], out=P[3])  # A^10; r_13 needs no A^8
+    eta = min(max(d6, d8), max(d8, d(3, 10)))
+    if not eta < np.inf:  # the powers overflowed
+        return 13, -1, ws
+    s = max(math.ceil(math.log2(eta / _PADE[13][0])), 0) if eta > 0 else 0
+    return 13, s + ell(13, s), ws
+
+
+def expm(A: np.ndarray) -> np.ndarray:
+    """e^A of a square float matrix by scaling and squaring.
+
+    The Pade degree m and the squarings s are chosen by Al-Mohy & Higham,
+    "A New Scaling and Squaring Algorithm for the Matrix Exponential",
+    SIAM J. Matrix Anal. Appl. 31(3), 2009; r_m is one np.linalg.solve.
+    A zero matrix gives I; powers of A that overflow give nan.
+    """
+    n = len(A)
+    if not A.any():
+        return np.eye(n)
+    m, s, ws = _pade_choice(A)
+    if s < 0:
+        return np.full((n, n), np.nan)
+    b = _PADE[m][2]
+    if m < 13:  # U = A (b_m A^{m-1} + ... + b_1 I), V = b_{m-1} A^{m-1} + ... + b_0 I
+        k = (m - 1) // 2
+        W = ws[4:6]
+        np.matmul(np.array([b[3::2], b[2::2]]), ws[:k].reshape(k, -1), out=W.reshape(2, -1))
+    else:  # the same, with A^8 .. A^12 as A^6 times sums of A^2, A^4, A^6
+        if s:
+            A = A * 0.5 ** s
+            ws[:3] *= np.array([0.5 ** (2 * s), 0.5 ** (4 * s), 0.5 ** (6 * s)])[:, None, None]
+        W = ws[3:7]
+        np.matmul(np.array([b[9::2], b[3:9:2], b[8::2], b[2:8:2]]), ws[:3].reshape(3, -1),
+                  out=W.reshape(4, -1))
+        W[1] += np.matmul(ws[2], W[0], out=ws[0])
+        W[3] += np.matmul(ws[2], W[2], out=ws[0])
+        W = W[1::2]
+    W[0].flat[::n + 1] += b[1]
+    W[1].flat[::n + 1] += b[0]
+    U, V = np.matmul(A, W[0], out=ws[0]), W[1]
+    Q = np.subtract(V, U, out=ws[1])
+    V += U
+    X = np.linalg.solve(Q, V)
+    for _ in range(s):
+        X = X @ X
+    return X
+
+
 def zoh_discretize(model: StateSpaceModel, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact ZOH discretization (Ad, Bd) of (A, B) at step dt.
 
+    Phi = e^{[A B; 0 0] dt} holds Ad and Bd; it is computed by expm
+    (Al-Mohy & Higham 2009). A Phi that is not finite is a NumericalError.
     Entries of magnitude below np.finfo(float).tiny (subnormals) are set to
     0.0, so that stepping with Ad and Bd runs at full BLAS speed; see the
     module docstring for the bound on what this changes.
     """
-    from scipy.linalg import expm  # deferred: import pipenet loads numpy only
-
     if not 0.0 < dt < np.inf:
         raise ConfigurationError("time step must be positive and finite")
     n, m = model.n_states, model.n_inputs
     aug = np.zeros((n + m, n + m))
     aug[:n, :n] = model.A
     aug[:n, n:] = model.B
-    Phi = expm(aug * dt)
+    aug *= dt
+    with np.errstate(over="ignore", invalid="ignore"):  # reported just below
+        Phi = expm(aug)
+    if not np.isfinite(Phi).all():
+        raise NumericalError(f"matrix exponential overflowed at dt={dt:g}")
     Phi[np.abs(Phi) < np.finfo(float).tiny] = 0.0
     return Phi[:n, :n], Phi[:n, n:]
 

@@ -147,7 +147,7 @@ def test_singular_resolvent_raises_numerical_error():
 
 
 def test_import_loads_numpy_only():
-    # scipy is imported by the first Bode or simulation, not by import pipenet
+    # scipy is imported by the first Bode, DC gain or Mason check, not by import pipenet
     src = os.path.dirname(os.path.dirname(pn.__file__))
     code = "import sys, pipenet; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

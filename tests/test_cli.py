@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -178,3 +182,28 @@ def test_sim_nonfinite_input_cell_exit_one(loop_file, tmp_path, capsys):
     inputs.write_text("fill,dist,vent\n0,nan,0\n")
     assert run(["sim", loop_file, "--dt", "0.01", "--T", "0.1", "--inputs", str(inputs)]) == 1
     assert capsys.readouterr().err == "error: inputs must be finite\n"
+
+
+def test_sim_overflow_exit_one(capsys):
+    # e^{A dt} at dt = 1e200 overflows in its first power; it used to print nan rows
+    demo = os.path.join(os.path.dirname(__file__), "..", "demos", "loop.pipenet")
+    assert run(["sim", demo, "--dt", "1e200", "--T", "1e200"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: matrix exponential overflowed at dt=1e+200\n"
+    assert captured.out == ""
+
+
+def test_sim_loads_numpy_only(tmp_path):
+    # keeps mesh_sim free of scipy's import and memory
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    demo = os.path.join(os.path.dirname(__file__), "..", "demos", "loop.pipenet")
+    step = tmp_path / "step.csv"
+    step.write_text("fill,dist,vent\n1,1,1\n")
+    code = ("import sys, pipenet.cli; "
+            "rc = pipenet.cli.main(['sim', sys.argv[1], '--dt', '0.05', '--T', '2', "
+            "'--inputs', sys.argv[2], '-o', sys.argv[3]]); "
+            "print(rc, sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code, demo, str(step), str(tmp_path / "y.csv")],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.strip() == "0 []"

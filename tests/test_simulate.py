@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 import pipenet as pn
 from pipenet import analysis, pipe_dynamics, simulate
@@ -141,12 +140,12 @@ def test_timeseries_column_lookup():
 
 
 def unflushed_outputs(model, dt, u):
-    """Outputs of the ZOH recurrence on expm's matrices as they come, subnormals kept."""
+    """Outputs of the ZOH recurrence on simulate.expm's matrices as they come, subnormals kept."""
     n, m = model.n_states, model.n_inputs
     aug = np.zeros((n + m, n + m))
     aug[:n, :n] = model.A
     aug[:n, n:] = model.B
-    Phi = expm(aug * dt)
+    Phi = simulate.expm(aug * dt)
     Ad, Bd = Phi[:n, :n], Phi[:n, n:]
     X = np.zeros((len(u), n))
     for k in range(len(u) - 1):
@@ -182,8 +181,8 @@ def test_flush_keeps_outputs_bit_identical(oracle_specs, dt):
 
 def test_flush_changes_only_negligible_outputs():
     # on the 200-pipe chain the far end is still ~1e-300 when the flushed
-    # terms reach it; measured: 3944 of 167618 cells, |y| <= 2.6e-289,
-    # |dy| <= 1.4e-304 for a unit step on both inputs
+    # terms reach it; measured: 143 of 167618 cells, |y| <= 2.6e-289,
+    # |dy| <= 9.1e-305 for a unit step on both inputs
     model = pn.build_closed(pn.parse(chain_text(200, np.random.default_rng(7))))
     t = np.arange(401) * 0.05
     u = np.ones((len(t), model.n_inputs))
