@@ -22,7 +22,7 @@ LTI model.
 States are the pressure nodes in member order, then the flows. Inputs are
 the boundary p_l, then the boundary q_r; outputs the boundary p_r, then
 the boundary q_l. Ports are named 'l'/'r', or 'l1','l2'/'r1','r2' when a
-side has two boundary ends (port_ends).
+side has two boundary ends (port_ends, port_index).
 
 NodeRule runs the rule over elements closed along their links: a linked
 boundary input is fed by another element's output, so its coefficient
@@ -139,20 +139,58 @@ def port_ends(kind: str, member_ids) -> dict[str, tuple[str, str]]:
             for name, flange, i, _, _ in _layout(kind, len(member_ids))[4]}
 
 
+@lru_cache(maxsize=None)
+def port_index(kind: str, n: int):
+    """Port name -> (flange, input index, output index) of one kind with n members.
+
+    The indices count within the element (_layout). Cached and read-only.
+    """
+    return MappingProxyType({name: (flange, u, y) for name, flange, _, u, y in _layout(kind, n)[4]})
+
+
+@lru_cache(maxsize=None)
+def _label_plan(kind: str, n: int):
+    """The labels of one kind with n members: (plan, states, reads).
+
+    plan gives (member position, side, quantity) of each label: each
+    pressure node's p_r, then each member's q_l. The first `states` of
+    them are the element's states (none for a gain); reads gives the
+    position in plan of the label each output reads. Cached and
+    read-only.
+    """
+    nodes, at, lefts, rights, _ = _layout(kind, n)
+    plan = (*((feeders[0], "r", "p") for feeders, _ in nodes), *((i, "l", "q") for i in range(n)))
+    reads = (*(at["r", i] for i in rights), *(len(nodes) + i for i in lefts))
+    return plan, (0 if kind == "gain" else len(plan)), reads
+
+
+def element_labels(kind: str, member_ids):
+    """State and output labels of one element.
+
+    member_ids is (element id,) for a gain, which has no states. An
+    output's label is the label of the state it reads.
+    """
+    plan, n_states, reads = _label_plan(kind, len(member_ids))
+    labels = [SignalLabel(member_ids[i], side, quantity) for i, side, quantity in plan]
+    return tuple(labels[:n_states]), [labels[j] for j in reads]
+
+
+def input_labels(kind: str, member_ids) -> list[SignalLabel]:
+    """Input labels of one element: the boundary p_l, then the boundary q_r."""
+    _, _, lefts, rights, _ = _layout(kind, len(member_ids))
+    return ([SignalLabel(member_ids[i], "l", "p") for i in lefts]
+            + [SignalLabel(member_ids[i], "r", "q") for i in rights])
+
+
 def element_signals(kind: str, member_ids):
     """State, input and output labels of one element, and its port table.
 
     member_ids is (element id,) for a gain, which has no states.
     """
-    nodes, at, lefts, rights, ports = _layout(kind, len(member_ids))
-    p_labels = [SignalLabel(member_ids[feeders[0]], "r", "p") for feeders, _ in nodes]
-    q_labels = [SignalLabel(mid, "l", "q") for mid in member_ids]
-    inputs = ([SignalLabel(member_ids[i], "l", "p") for i in lefts]
-              + [SignalLabel(member_ids[i], "r", "q") for i in rights])
-    outputs = [p_labels[at["r", i]] for i in rights] + [q_labels[i] for i in lefts]
-    states = () if kind == "gain" else tuple(p_labels + q_labels)
+    states, outputs = element_labels(kind, member_ids)
+    inputs = input_labels(kind, member_ids)
     table = {name: Port(name, flange, inputs[u], outputs[y])
-             for name, flange, _, u, y in ports}
+             for name, (flange, u, y) in port_index(kind, len(member_ids)).items()}
     return states, tuple(inputs), tuple(outputs), table
 
 
@@ -169,6 +207,75 @@ def _scatter(shape, flat, values) -> np.ndarray:
         flat = (flat + size * np.arange(n)[:, None]).ravel()
     out = np.bincount(flat, values.ravel(), minlength=n * size)
     return out.astype(float, copy=False).reshape(*lanes, *shape)  # no positions: bincount gives ints
+
+
+# what a packed template value adds of its element's offsets (NodeRule):
+# nothing, the first state, the first coefficient slot, or the first
+# two-feeder node plus the network's coefficient slots
+_NONE, _STATE, _SLOT, _PARALLEL = range(4)
+# the table a packed template column belongs to
+_OWN, _PAIRS, _FEEDS, _READS = range(4)
+
+
+@lru_cache(maxsize=None)
+def _template(kind: str, n: int):
+    """One element's share of NodeRule at offset zero: (sizes, packed).
+
+    sizes are its states, coefficient slots, two-feeder nodes and ports
+    (one input and one output each), then the columns of packed and 1 for
+    a gain. packed is (9, columns): rows 0-3 hold values, rows 4-7 what
+    each value adds of the element's offsets (_NONE, _STATE, _SLOT,
+    _PARALLEL), row 8 the table of the column:
+    - _OWN: an own A entry (row, column, coefficient slot, scale slot); a
+      two-feeder node's parallel alpha has the node's number among the
+      element's two-feeder nodes as its slot (_PARALLEL);
+    - _PAIRS: the feeder alpha slots of a two-feeder node;
+    - _FEEDS: the entry (row, coefficient slot) of an input;
+    - _READS: the state an output reads.
+    Rows and columns count from the element's first state, slots from its
+    first pipe's. A gain's inputs feed no entry and its outputs read no
+    state: their values are -1. Cached and read-only; one entry per kind
+    and member count.
+    """
+    if kind == "gain":
+        cols = [((-1, -1, 0, 0), (_NONE,) * 4, table) for table in (_FEEDS, _FEEDS, _READS, _READS)]
+        return (0, 0, 0, 2, len(cols), 1), _packed(cols)
+    nodes, at, lefts, rights, _ = _layout(kind, n)
+    f0 = len(nodes)  # first flow state
+
+    def own(row, col, slot, scale, adds=_SLOT):
+        return (row, col, slot, scale), (_STATE, _STATE, adds, _NONE), _OWN
+
+    cols, n_parallel = [], 0
+    for k, (feeders, takers) in enumerate(nodes):
+        if len(feeders) == 1:
+            alpha, adds = 4 * feeders[0] + _ALPHA, _SLOT
+        else:
+            alpha, adds = n_parallel, _PARALLEL
+            n_parallel += 1
+            cols.append(((*(4 * i + _ALPHA for i in feeders), 0, 0),
+                         (_SLOT, _SLOT, _NONE, _NONE), _PAIRS))
+        cols += [own(k, f0 + i, alpha, 0, adds) for i in takers]
+        cols += [own(k, f0 + i, alpha, 1, adds) for i in feeders]
+    for i in range(n):
+        cols.append(own(f0 + i, at["r", i], 4 * i + _BETA_PR, 0))
+        if ("l", i) in at:
+            cols.append(own(f0 + i, at["l", i], 4 * i + _BETA_PL, 0))
+        cols.append(own(f0 + i, f0 + i, 4 * i + _GAMMA, 0))
+    feed = (_STATE, _SLOT, _NONE, _NONE)
+    cols += [((f0 + i, 4 * i + _BETA_PL, 0, 0), feed, _FEEDS) for i in lefts]
+    cols += [((at["r", i], 4 * i + _ALPHA, 0, 0), feed, _FEEDS) for i in rights]
+    read = (_STATE, _NONE, _NONE, _NONE)
+    cols += [((at["r", i], 0, 0, 0), read, _READS) for i in rights]
+    cols += [((f0 + i, 0, 0, 0), read, _READS) for i in lefts]
+    return (f0 + n, 4 * n, n_parallel, len(lefts) + len(rights), len(cols), 0), _packed(cols)
+
+
+def _packed(cols) -> np.ndarray:
+    """The read-only (9, columns) array of (values, adds, table) columns."""
+    packed = np.array([(*values, *adds, table) for values, adds, table in cols], dtype=np.intp).T
+    packed.flags.writeable = False
+    return packed
 
 
 class NodeRule:
@@ -190,110 +297,95 @@ class NodeRule:
     The model equals interconnect.close over the stacked element models,
     with the elements' states and outputs in order. Entries that share a
     position add, element A first, then the resolved inputs.
+
+    The pattern is placed with numpy from one cached _template per element
+    kind and size, shifted by each element's first state, coefficient slot
+    and two-feeder node; only a gain's outputs are resolved one by one.
     """
 
     def __init__(self, elements, drivers, n_external: int):
         if not elements:
             raise ConfigurationError("cannot stack an empty model list")
-        # (row, column, coefficient slot, scale slot) of A and B; scale slot 0 is
-        # 1.0, 1 is -1.0, 2 + c the factor of gain chain c. A coefficient slot
-        # below 0 is the parallel alpha -1 - slot.
-        a, b = [], []
-        sources = []   # per output: (gain or -1, True, state) or (gain or -1, False, input)
-        feeds = []     # per input: (row, coefficient slot) of its entry; None for a gain's
-        parallel = []  # per two-feeder node: the coefficient slots of the feeders' alphas
-        n_states = n_pipes = n_gains = 0
-        for kind, n in elements:
-            if kind == "gain":
-                i = len(feeds)
-                sources += [(n_gains, False, i), (-1, False, i + 1)]
-                feeds += [None, None]
-                n_gains += 1
-                continue
-            nodes, at, lefts, rights, _ = _layout(kind, n)
-            s0, f0 = n_states, n_states + len(nodes)  # first pressure, first flow state
-            slot = [4 * (n_pipes + i) for i in range(n)]
-            for k, (feeders, takers) in enumerate(nodes):
-                if len(feeders) == 1:
-                    alpha = slot[feeders[0]] + _ALPHA
-                else:
-                    alpha = -1 - len(parallel)
-                    parallel.append([slot[i] + _ALPHA for i in feeders])
-                a += [(s0 + k, f0 + i, alpha, 0) for i in takers]
-                a += [(s0 + k, f0 + i, alpha, 1) for i in feeders]
-            for i in range(n):
-                a.append((f0 + i, s0 + at["r", i], slot[i] + _BETA_PR, 0))
-                if ("l", i) in at:
-                    a.append((f0 + i, s0 + at["l", i], slot[i] + _BETA_PL, 0))
-                a.append((f0 + i, f0 + i, slot[i] + _GAMMA, 0))
-            feeds += [(f0 + i, slot[i] + _BETA_PL) for i in lefts]
-            feeds += [(s0 + at["r", i], slot[i] + _ALPHA) for i in rights]
-            sources += [(-1, True, s0 + at["r", i]) for i in rights]
-            sources += [(-1, True, f0 + i) for i in lefts]
-            n_states, n_pipes = f0 + n, n_pipes + n
+        # every element of one (kind, n) shares a _template: the templates'
+        # columns in element order, each value plus the offset it adds
+        templates = [_template(kind, n) for kind, n in elements]
+        sizes = np.array([t[0] for t in templates], dtype=np.intp)
+        # per element: first state, coefficient slot, two-feeder node and port
+        # (one input and one output each)
+        first = np.cumsum(sizes, axis=0) - sizes
+        n_states, n_slots, _, n_outputs, _, _ = (first[-1] + sizes[-1]).tolist()
+        adds = np.zeros((len(sizes), 4), np.intp)  # _NONE, _STATE, _SLOT, _PARALLEL
+        adds[:, 1:] = first[:, :3] + (0, 0, n_slots)
+        packed = np.concatenate([t[1] for t in templates], axis=1)
+        values = packed[:4] + adds[np.repeat(np.arange(len(sizes)), sizes[:, 4]), packed[4:8]]
+        # (row, column, coefficient column, scale slot) of A; coefficient column
+        # 4 P + j is two-feeder node j's parallel alpha; scale slot 0 is 1.0, 1 is
+        # -1.0, 2 + c the factor of gain chain c
+        a = values[:, packed[8] == _OWN]
+        parallel = values[:2, packed[8] == _PAIRS]  # the feeders' alpha slots per two-feeder node
+        feeds = values[:2, packed[8] == _FEEDS]     # per input: (row, slot) of its entry
+        reads = values[0, packed[8] == _READS]      # per output: the state it reads
+        # a gain's outputs are (gain or -1 for a factor 1, the input the output passes)
+        sources = {}
+        for gain, port in enumerate(first[sizes[:, 5] > 0, 3].tolist()):
+            sources[port], sources[port + 1] = (gain, port), (-1, port + 1)
 
         def resolve(j):
             """(gain of each output passed, -1 for a factor 1; state?; state or column)."""
             steps, seen = [], {j}
-            while True:
-                gain, is_state, k = sources[j]
+            while j in sources:
+                gain, i = sources[j]
                 steps.append(gain)
-                if is_state:
-                    return tuple(steps), True, k
-                kind, k = drivers[k]
+                kind, j = drivers[i]
                 if kind == "u":
-                    return tuple(steps), False, k
-                if k in seen:
+                    return tuple(steps), False, j
+                if j in seen:
                     raise NumericalError(_ILL_POSED)
-                seen.add(k)
-                j = k
+                seen.add(j)
+            return (*steps, -1), True, reads[j]
 
-        resolved = [resolve(j) for j in range(len(sources))]
-        counts = Counter(steps for steps, _, _ in resolved)
+        # only a gain's outputs need resolving: a pipe element's output reads
+        # its state with factor 1, steps (-1,)
+        resolved = {j: resolve(j) for j in sources}
+        counts = Counter(steps for steps, _, _ in resolved.values())
         self._chains = [(steps, count) for steps, count in counts.items() if max(steps) >= 0]
         scale = {steps: 2 + c for c, (steps, _) in enumerate(self._chains)}
-        for (kind, k), feed in zip(drivers, feeds):
-            if feed is not None:
-                row, coef = feed
-                if kind == "u":
-                    b.append((row, k, coef, 0))
-                else:
-                    steps, is_state, k = resolved[k]
-                    (a if is_state else b).append((row, k, coef, scale.get(steps, 0)))
-        c = [(j, k, scale.get(steps, 0)) for j, (steps, on_state, k) in enumerate(resolved)
-             if on_state]
-        d = [(j, k, scale.get(steps, 0)) for j, (steps, on_state, k) in enumerate(resolved)
-             if not on_state]
+        # per output: whether it reads a state or else an external column, and its scale slot
+        on_state, factor = np.ones(n_outputs, bool), np.zeros(n_outputs, np.intp)
+        for j, (steps, is_state, k) in resolved.items():
+            on_state[j], reads[j], factor[j] = is_state, k, scale.get(steps, 0)
 
-        self.shape = (n_states, n_external, len(sources))
-        self._parallel = np.array(parallel, dtype=np.intp).reshape(-1, 2).T
+        # each input's entry lands on its source's state (A) or external column (B)
+        has_entry = feeds[0] >= 0
+        from_y = np.array([kind == "y" for kind, _ in drivers], dtype=bool)[has_entry]
+        source = np.array([k for _, k in drivers], dtype=np.intp)[has_entry]
+        out = np.where(from_y, source, 0)  # the output that feeds each entry (0 for a "u")
+        to_a = from_y & on_state[out]
+        entries = np.stack([feeds[0, has_entry], np.where(from_y, reads[out], source),
+                            feeds[1, has_entry], np.where(from_y, factor[out], 0)])
+        a = np.concatenate([a, entries[:, to_a]], axis=1)
+        # C and D: each output reads its state or external column, times its factor
+        c, d = np.flatnonzero(on_state), np.flatnonzero(~on_state)
+
+        self.shape = (n_states, n_external, n_outputs)
+        self._parallel = parallel
+        # per matrix: (shape, flat positions, coefficient columns, scale slots) of
+        # its entries; C and D hold a factor alone, their columns are None
         self._patterns = [
-            self._pattern(entries, shape, 4 * n_pipes)
-            for entries, shape in ((a, (n_states, n_states)), (b, (n_states, n_external)),
-                                   (c, (len(sources), n_states)), (d, (len(sources), n_external)))]
+            (shape, rows * shape[1] + cols, coefs, scales)
+            for (rows, cols, coefs, scales), shape in (
+                (a, (n_states, n_states)), (entries[:, ~to_a], (n_states, n_external)),
+                ((c, reads[c], None, factor[c]), (n_outputs, n_states)),
+                ((d, reads[d], None, factor[d]), (n_outputs, n_external)))]
         # ||I - D F||_F^2: 1 per output, plus the square of each feed-through
         # factor whose input an output feeds; ||(I - D F)^-1||_F^2: the square of
         # the running factor at each step of every resolution
-        fed = [gain for gain, is_state, k in sources if not is_state and drivers[k][0] == "y"]
-        self._idf_ones = len(sources) + fed.count(-1)
+        fed = [gain for gain, i in sources.values() if drivers[i][0] == "y"]
+        self._idf_ones = n_outputs + fed.count(-1)
         self._idf_gains = [gain for gain in fed if gain >= 0]
-        self._inv_ones = sum(len(steps) * count for steps, count in counts.items()
-                             if max(steps) < 0)
-
-    @staticmethod
-    def _pattern(entries, shape, n_pipe_slots):
-        """(shape, flat positions, coefficient columns, scale slots) of one matrix's entries.
-
-        Coefficient column 4 P + j is two-feeder node j's parallel alpha.
-        C and D hold a factor alone: their columns are None.
-        """
-        if not entries:
-            return shape, np.zeros(0, np.intp), np.zeros(0, np.intp), np.zeros(0, np.intp)
-        cols = np.array(entries, dtype=np.intp).T
-        flat = cols[0] * shape[1] + cols[1]
-        if len(cols) == 3:
-            return shape, flat, None, cols[2]
-        return shape, flat, np.where(cols[2] < 0, n_pipe_slots - 1 - cols[2], cols[2]), cols[3]
+        self._inv_ones = (n_outputs - len(resolved)
+                          + sum(len(steps) * count for steps, count in counts.items()
+                                if max(steps) < 0))
 
     def fill(self, coef, gains, matrices: int = 4):
         """A, B, C, D and each two-feeder node's delta = alpha_1/(alpha_1 + alpha_2), per lane.

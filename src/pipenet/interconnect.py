@@ -1,9 +1,11 @@
 """Closure of element models into one network model: the oracle path.
 
 Every component input is fed by exactly one source, a component output
-(through a link) or a declared external input (_drivers). The build path,
-netspec.build_closed, resolves each input along those sources with the
-whole-network node rule (composites.NodeRule); it forms no (I - D F)^-1.
+(through a link) or a declared external input (wire). The build path,
+netspec.build_closed, wires input indices from port offsets and resolves
+each input along its sources with the whole-network node rule
+(composites.NodeRule); it forms no (I - D F)^-1. The oracle path wires
+the same way over port labels (_drivers).
 
 The oracle path is stack -> build_FG -> close: the element models are
 stacked block-diagonally, 0/1 connection matrices F (component outputs ->
@@ -94,39 +96,61 @@ def stack(models: list[StateSpaceModel]) -> StackedSystem:
     return StackedSystem(model, tuple(boundaries))
 
 
-def _drivers(input_labels, input_index, output_index, links, externals) -> list:
+def _check_flanges(right: str, left: str):
+    if right != "r" or left != "l":
+        raise ConfigurationError(
+            f"incompatible flanges: link must connect a right flange to a left flange "
+            f"(got {right!r}-{left!r})")
+
+
+def wire(n_inputs: int, links, externals, input_label) -> list:
     """Source of every component input: ("y", output index) or ("u", external column).
 
-    Each link (right_port, left_port) expands to two signal identities:
-    the right port's pressure output feeds the left port's pressure input,
-    and the left port's flow output feeds the right port's flow input.
-    Each external (name, port) drives the port's input signal; external
-    columns follow declaration order. input_index and output_index map a
-    label to its position. Raises ConfigurationError for a link between
-    incompatible flanges and for an input with two drivers or none.
+    A port end is (flange, input index, output index). Each link (right
+    end, left end) expands to two signal identities: the right end's
+    pressure output feeds the left end's pressure input, and the left
+    end's flow output feeds the right end's flow input. externals gives
+    the end of each external input in column order; it drives that end's
+    input. Both are read in order, once. input_label(i) names input i in
+    an error. Raises ConfigurationError for a link between incompatible
+    flanges and for an input with two drivers or none.
     """
-    driven = [None] * len(input_labels)
+    driven = [None] * n_inputs
 
-    def drive(input_label, source):
-        i = input_index(input_label)
+    def drive(i, source):
         if driven[i] is not None:
-            raise ConfigurationError(f"conflicting drivers for {input_label}")
+            raise ConfigurationError(f"conflicting drivers for {input_label(i)}")
         driven[i] = source
 
-    for right, left in links:
-        if right.flange != "r" or left.flange != "l":
-            raise ConfigurationError(
-                f"incompatible flanges: link must connect a right flange to a left flange "
-                f"(got {right.flange!r}-{left.flange!r})")
-        drive(left.input_label, ("y", output_index(right.output_label)))
-        drive(right.input_label, ("y", output_index(left.output_label)))
-    for col, (name, port) in enumerate(externals):
-        drive(port.input_label, ("u", col))
+    for (r_flange, r_in, r_out), (l_flange, l_in, l_out) in links:
+        _check_flanges(r_flange, l_flange)
+        drive(l_in, ("y", r_out))
+        drive(r_in, ("y", l_out))
+    for col, (_, i, _) in enumerate(externals):
+        drive(i, ("u", col))
 
     for i, src in enumerate(driven):
         if src is None:
-            raise ConfigurationError(f"unconnected component input {input_labels[i]}")
+            raise ConfigurationError(f"unconnected component input {input_label(i)}")
     return driven
+
+
+def _drivers(input_labels, input_index, output_index, links, externals) -> list:
+    """Source of every component input (wire), from Port objects.
+
+    links holds (right_port, left_port) pairs and externals (name, port)
+    pairs; input_index and output_index map a label to its position. A
+    link's flanges are checked before its labels are looked up.
+    """
+    def pairs():
+        for right, left in links:
+            _check_flanges(right.flange, left.flange)
+            yield ((right.flange, input_index(right.input_label), output_index(right.output_label)),
+                   (left.flange, input_index(left.input_label), output_index(left.output_label)))
+
+    return wire(len(input_labels), pairs(),
+                ((port.flange, input_index(port.input_label), None) for _, port in externals),
+                input_labels.__getitem__)
 
 
 def build_FG(stacked: StackedSystem, links: list[tuple[Port, Port]],

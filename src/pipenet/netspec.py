@@ -29,11 +29,17 @@ identical matrices.
 A parsed description is compiled once (CompiledNetwork) into what its
 topology and declared data fix: λ per pipe, the node graph and balanced
 flows, the labels, and the node rule pattern of the closed model
-(composites.NodeRule). Fills evaluate it: spread carries the node
-pressures of K rows of gain values at once, fill_spread scatters the
-pipes' linearization coefficients (pipe_dynamics.IsoTable) and the gain
-factors into a stack of K system matrices A, and model fills A, B, C and
-D at given operating points (composites.coefficient_row). build_closed and
+(composites.NodeRule). The compile works on integers: each element's
+inputs and outputs are numbered after those of the elements before it,
+a port names its input and output index within its element
+(composites.port_index), so links and external inputs wire input
+indices directly, and the pattern is placed from one template per
+element kind and size. No label is looked up by its rendered text.
+Fills evaluate it: spread carries the node pressures of K rows of gain
+values at once, fill_spread scatters the pipes' linearization
+coefficients (pipe_dynamics.IsoTable) and the gain factors into a stack
+of K system matrices A, and model fills A, B, C and D at given operating
+points from one lane of the same table. build_closed and
 network_steady_state are one compile and a one-row fill; a gain sweep
 compiles once and fills one table of rows per chunk of gains.
 build_elements and elaborate keep the per-element models of the oracle
@@ -43,6 +49,7 @@ path (interconnect.close, analysis.mason_check).
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -51,15 +58,15 @@ import numpy as np
 
 from . import core
 from .composites import (JUNCTIONS, NOMINAL_RTOL, CompositeModel, NodeRule, check_flows,
-                         check_gain, check_members, coefficient_row, element_signals, make_branch,
-                         make_gain, make_joint, make_pipe, make_series, port_ends)
+                         check_gain, check_members, element_labels, input_labels, make_branch,
+                         make_gain, make_joint, make_pipe, make_series, port_ends, port_index)
 from .core import GasProperties, OperatingPoint, PipeParams, SignalLabel, StateSpaceModel
 from .errors import ConfigurationError, DomainError, ParseError
 from .friction import friction_factor
 # close stays importable here although nothing here calls it: perfbench/tracer.py wraps
 # netspec.close, netspec.stack and netspec.build_FG by name
-from .interconnect import (ConnectionMatrices, StackedSystem, _drivers, build_FG,  # noqa: F401
-                           close, stack)
+from .interconnect import (ConnectionMatrices, StackedSystem, build_FG, close,  # noqa: F401
+                           stack, wire)
 from .pipe_dynamics import IsoTable
 from .steady_state import exact_root, isothermal_nominal, relation_constants
 
@@ -315,7 +322,7 @@ def parse(text: str) -> NetworkSpec:
             raise ParseError(
                 f"pipe {ref.element!r} belongs to {consumed[ref.element]!r} "
                 f"and may not be referenced directly", lineno)
-        if ref.port not in _ends(decl):
+        if ref.port not in port_index(decl.kind, len(_ids(decl))):
             raise ParseError(
                 f"element {ref.element!r} has no port {ref.port!r}", lineno)
 
@@ -514,7 +521,8 @@ class CompiledNetwork:
     graph, the projected flows, the order of the pressure spread and each
     pipe's relation constants), the pipes' linearization constants as
     arrays (pipe_dynamics.IsoTable) and the model's labels and node rule
-    pattern (composites.NodeRule). None of these depend on a gain value.
+    pattern (composites.NodeRule), wired by port offset (_closure). None
+    of these depend on a gain value.
 
     A gain sweep compiles once and fills a table of K gain rows at a time
     (analysis.stability_margin_sweep): spread checks every k first, then
@@ -706,19 +714,49 @@ class CompiledNetwork:
 
     @cached_property
     def _closure(self):
-        """(state labels, input names, output labels, node rule) of the closed model."""
+        """(state labels, input names, output labels, node rule) of the closed model.
+
+        Wired by port offset: an element has one input and one output per
+        port, numbered after those of the elements before it, and each
+        port of its kind names its own input and output index
+        (composites.port_index). So a link or an external input sets the
+        source of an input index directly (interconnect.wire), with the
+        checks and error texts of the label route (_wiring, _drivers).
+        """
         spec = self.spec
         kinds = [(el.kind, _ids(el)) for el in spec.elements]
-        signals = [element_signals(kind, ids) for kind, ids in kinds]
-        states, inputs, outputs = ([lab for sig in signals for lab in sig[i]] for i in range(3))
-        in_index = core.label_index(inputs, "input")
-        out_index = core.label_index(outputs, "output")
-        links, externals = _wiring(spec, {el.name: sig[3]
-                                          for el, sig in zip(spec.elements, signals)})
-        drivers = _drivers(inputs, lambda lab: core._index_of(in_index, lab, "input"),
-                           lambda lab: core._index_of(out_index, lab, "output"),
-                           links, externals)
-        rule = NodeRule([(kind, len(ids)) for kind, ids in kinds], drivers, len(externals))
+        states, outputs, first = [], [], []  # first: each element's first input and output
+        for kind, ids in kinds:
+            first.append(len(outputs))
+            own_states, own_outputs = element_labels(kind, ids)
+            states += own_states
+            outputs += own_outputs
+        members = [pid for _, ids in kinds for pid in ids]
+        if len(set(members)) < len(members):  # labels may collide: the label route's checks
+            core.label_index([lab for kind, ids in kinds for lab in input_labels(kind, ids)],
+                             "input")
+            core.label_index(outputs, "output")
+        element = {el.name: e for e, el in enumerate(spec.elements)}
+
+        def end(ref: PortRef):
+            e = element.get(ref.element)
+            if e is None:
+                raise ConfigurationError(f"unknown element {ref.element!r}")
+            kind, ids = kinds[e]
+            try:
+                flange, u, y = port_index(kind, len(ids))[ref.port]
+            except KeyError:
+                raise ConfigurationError(
+                    f"element {ref.element!r} has no port {ref.port!r}") from None
+            return flange, first[e] + u, first[e] + y
+
+        def input_label(i):
+            e = bisect_right(first, i) - 1
+            return input_labels(*kinds[e])[i - first[e]]
+
+        links = [(end(a), end(b)) for a, b in spec.links]
+        drivers = wire(len(outputs), links, [end(ref) for _, ref in spec.inputs], input_label)
+        rule = NodeRule([(kind, len(ids)) for kind, ids in kinds], drivers, len(spec.inputs))
         return tuple(states), tuple(name for name, _ in spec.inputs), tuple(outputs), rule
 
     @cached_property
@@ -736,18 +774,20 @@ class CompiledNetwork:
         """A, B, C and D of the closed network at ops and gains (see model).
 
         Checks each element as make_* would (members_at), then fills the
-        node rule with one lane (composites.coefficient_row).
+        node rule with one lane of the pipe table (_iso), which equals
+        composites.coefficient_row bit for bit.
         """
         gains = self.gains if gains is None else gains
-        pipes, g = [], 0
+        points, g = [], 0
         for el, members, check in self.members_at(ops):
             if el.kind == "gain":
                 check_gain(gains[g])
                 g += 1
             else:
-                check_members(el.kind, [op for _, op in members], check)
-                pipes += members
-        coef = coefficient_row(pipes, self.spec.gas)
+                own = [op for _, op in members]
+                check_members(el.kind, own, check)
+                points += own
+        coef = self._iso.at([op.q_ss for op in points], [[op.p_l_ss for op in points]])
         return tuple(M[0] for M in self._closure[3].fill(coef, [gains])[:4])
 
     def model(self, ops=None, gains=None) -> StateSpaceModel:

@@ -134,6 +134,13 @@ def _pade_choice(A: np.ndarray) -> tuple[int, int, np.ndarray]:
     return 13, s + ell(13, s), ws
 
 
+# Each squaring can double the relative rounding error of r_m(2^-s A), so
+# after s of them it may reach 2^s * 2^-53; zoh_discretize refuses a step
+# that needs more squarings than keep this within _SQUARING_RTOL.
+_SQUARING_RTOL = 1e-6
+_MAX_SQUARINGS = math.floor(math.log2(_SQUARING_RTOL)) + 53  # 33
+
+
 def expm(A: np.ndarray) -> np.ndarray:
     """e^A of a square float matrix by scaling and squaring.
 
@@ -142,12 +149,22 @@ def expm(A: np.ndarray) -> np.ndarray:
     SIAM J. Matrix Anal. Appl. 31(3), 2009; r_m is one np.linalg.solve.
     A zero matrix gives I; powers of A that overflow give nan.
     """
+    return _expm(A)[0]
+
+
+def _expm(A: np.ndarray, max_squarings: float = math.inf):
+    """(expm(A), s), or (None, s) when s exceeds max_squarings, before any work on r_m.
+
+    s is -1 when the powers of A overflowed (e^A is nan then).
+    """
     n = len(A)
     if not A.any():
-        return np.eye(n)
+        return np.eye(n), 0
     m, s, ws = _pade_choice(A)
     if s < 0:
-        return np.full((n, n), np.nan)
+        return np.full((n, n), np.nan), s
+    if s > max_squarings:
+        return None, s
     b = _PADE[m][2]
     if m < 13:  # U = A (b_m A^{m-1} + ... + b_1 I), V = b_{m-1} A^{m-1} + ... + b_0 I
         k = (m - 1) // 2
@@ -171,14 +188,17 @@ def expm(A: np.ndarray) -> np.ndarray:
     X = np.linalg.solve(Q, V)
     for _ in range(s):
         X = X @ X
-    return X
+    return X, s
 
 
 def zoh_discretize(model: StateSpaceModel, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact ZOH discretization (Ad, Bd) of (A, B) at step dt.
 
     Phi = e^{[A B; 0 0] dt} holds Ad and Bd; it is computed by expm
-    (Al-Mohy & Higham 2009). A Phi that is not finite is a NumericalError.
+    (Al-Mohy & Higham 2009). A Phi that is not finite is a NumericalError,
+    and so is a dt that needs more than _MAX_SQUARINGS squarings, whose
+    rounding could grow past _SQUARING_RTOL relative (on the demo loop
+    that happens between dt = 1e8 s and 1e9 s).
     Entries of magnitude below np.finfo(float).tiny (subnormals) are set to
     0.0, so that stepping with Ad and Bd runs at full BLAS speed; see the
     module docstring for the bound on what this changes.
@@ -191,7 +211,12 @@ def zoh_discretize(model: StateSpaceModel, dt: float) -> tuple[np.ndarray, np.nd
     aug[:n, n:] = model.B
     aug *= dt
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
-        Phi = expm(aug)
+        Phi, s = _expm(aug, _MAX_SQUARINGS)
+    if Phi is None:
+        raise NumericalError(
+            f"matrix exponential at dt={dt:g} needs {s} squarings, which may grow its "
+            f"rounding to {2.0 ** (s - 53):.2g} relative (limit {_SQUARING_RTOL:g}); "
+            f"use a smaller dt")
     if not np.isfinite(Phi).all():
         raise NumericalError(f"matrix exponential overflowed at dt={dt:g}")
     Phi[np.abs(Phi) < np.finfo(float).tiny] = 0.0

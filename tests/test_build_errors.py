@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import pipenet as pn
-from pipenet import steady_state
+from pipenet import netspec, steady_state
 from pipenet.errors import ConfigurationError
 
 GAS = "gas Rs=518.28 z0=0.95 T0=300\n"
@@ -91,3 +91,51 @@ def test_sweep_of_unknown_element():
     with pytest.raises(ConfigurationError) as err:
         pn.stability_margin_sweep(spec, "K", np.array([1.0]))
     assert str(err.value) == "no gain element named 'K'"
+
+
+def two_pipes(links, inputs, elements="AB"):
+    """pipe A and pipe B as a NetworkSpec built directly, without parse."""
+    pipes = {n: netspec.PipeDecl(n, L=10.0, d=0.7, lam=0.01) for n in "AB"}
+    return netspec.NetworkSpec(pn.GasProperties(R_s=518.28, z_0=0.95, c_v=1700.0, T_0=300.0,
+                                                T_amb=300.0),
+                               pipes, tuple(pipes[n] for n in elements),
+                               {"*": netspec.NominalDecl("*", 25e5, 21.0)}, links, inputs)
+
+
+R = netspec.PortRef
+LINK = ((R("A", "r"), R("B", "l")),)
+INPUTS = (("up", R("A", "l")), ("uq", R("B", "r")))
+
+
+@pytest.mark.parametrize("links, inputs, message", [
+    (((R("A", "r"), R("C", "l")),), INPUTS, "unknown element 'C'"),
+    (LINK, (("up", R("X", "l")), ("uq", R("B", "r"))), "unknown element 'X'"),
+    (((R("A", "r2"), R("B", "l")),), INPUTS, "element 'A' has no port 'r2'"),
+    (LINK, (("up", R("A", "l1")), ("uq", R("B", "r"))), "element 'A' has no port 'l1'"),
+    (((R("B", "l"), R("A", "r")),), INPUTS,
+     "incompatible flanges: link must connect a right flange to a left flange (got 'l'-'r')"),
+    (((R("A", "r"), R("B", "r")),), INPUTS,
+     "incompatible flanges: link must connect a right flange to a left flange (got 'r'-'r')"),
+    (LINK, INPUTS + (("extra", R("B", "l")),), "conflicting drivers for B.l.p"),
+    (LINK + ((R("A", "r"), R("B", "l")),), INPUTS, "conflicting drivers for B.l.p"),
+    (LINK, INPUTS[:1], "unconnected component input B.r.q"),
+    ((), INPUTS, "unconnected component input A.r.q"),
+], ids=["link_element", "input_element", "link_port", "input_port", "left_to_right",
+        "right_to_right", "input_on_link", "link_twice", "unconnected_input",
+        "unconnected_link"])
+def test_wiring_error_text(links, inputs, message):
+    # the build path wires by port offset; the oracle path (elaborate) by port
+    # labels: both give one text
+    spec = two_pipes(links, inputs)
+    for build in (pn.build_closed, pn.elaborate):
+        with pytest.raises(ConfigurationError) as err:
+            build(spec)
+        assert str(err.value) == message
+
+
+def test_duplicate_element_error_text():
+    # two elements named A: their input labels collide before any wiring
+    with pytest.raises(ConfigurationError) as err:
+        pn.build_closed(two_pipes(LINK, INPUTS, "AAB"))
+    assert str(err.value) == ("duplicate input labels: "
+                              "['A.l.p', 'A.r.q', 'A.l.p', 'A.r.q', 'B.l.p', 'B.r.q']")

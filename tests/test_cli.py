@@ -193,6 +193,26 @@ def test_sim_overflow_exit_one(capsys):
     assert captured.out == ""
 
 
+def test_sim_too_many_squarings_exit_one(capsys):
+    # e^{A dt} at dt = 1e12 takes 45 squarings, which may grow its rounding to 2^-8
+    demo = os.path.join(os.path.dirname(__file__), "..", "demos", "loop.pipenet")
+    assert run(["sim", demo, "--dt", "1e12", "--T", "2e12"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: matrix exponential at dt=1e+12 needs 45 squarings, which "
+                            "may grow its rounding to 0.0039 relative (limit 1e-06); "
+                            "use a smaller dt\n")
+    assert captured.out == ""
+
+
+def test_sim_at_most_33_squarings_runs(capsys):
+    # dt = 1e8 takes 32 squarings: the step is still taken
+    demo = os.path.join(os.path.dirname(__file__), "..", "demos", "loop.pipenet")
+    assert run(["sim", demo, "--dt", "1e8", "--T", "2e8"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert len(captured.out.splitlines()) == 4  # the header and t = 0, 1e8, 2e8
+
+
 def test_sim_loads_numpy_only(tmp_path):
     # keeps mesh_sim free of scipy's import and memory
     src = os.path.dirname(os.path.dirname(cli.__file__))

@@ -203,3 +203,18 @@ def test_nonfinite_input_or_initial_state_is_a_configuration_error(pipe_params, 
         simulate.simulate_lti(m, t, u)
     with pytest.raises(ConfigurationError, match="initial state must be finite"):
         simulate.simulate_lti(m, t, np.zeros(2), x0=np.array([0.0, bad]))
+
+
+@pytest.mark.parametrize("dt", [1e6, 1e8])
+def test_zoh_at_long_steps_reaches_dc_gain(loop_model, dt):
+    # A_d vanishes and B_d = A^-1 (e^{A dt} - I) B tends to -A^-1 B; 32 squarings at
+    # dt = 1e8 keep the rounding within the 1e-6 that zoh_discretize allows
+    Ad, Bd = simulate.zoh_discretize(loop_model, dt)
+    ref = -np.linalg.solve(loop_model.A, loop_model.B)
+    assert not Ad.any()
+    assert np.abs(Bd - ref).max() <= 1e-6 * np.abs(ref).max()
+
+
+def test_zoh_refuses_too_many_squarings(loop_model):
+    with pytest.raises(NumericalError, match=r"dt=1e\+09 needs 35 squarings"):
+        simulate.zoh_discretize(loop_model, 1e9)
