@@ -22,7 +22,7 @@ LTI model.
 States are the pressure nodes in member order, then the flows. Inputs are
 the boundary p_l, then the boundary q_r; outputs the boundary p_r, then
 the boundary q_l. Ports are named 'l'/'r', or 'l1','l2'/'r1','r2' when a
-side has two boundary ends (port_ends, port_index).
+side has two boundary ends (port_index).
 
 NodeRule runs the rule over elements closed along their links: a linked
 boundary input is fed by another element's output, so its coefficient
@@ -133,19 +133,14 @@ def _layout(kind: str, n: int):
     return nodes, MappingProxyType(at), lefts, rights, ports
 
 
-def port_ends(kind: str, member_ids) -> dict[str, tuple[str, str]]:
-    """Port name -> (member id, flange) of every boundary end of one element."""
-    return {name: (member_ids[i], flange)
-            for name, flange, i, _, _ in _layout(kind, len(member_ids))[4]}
-
-
 @lru_cache(maxsize=None)
 def port_index(kind: str, n: int):
-    """Port name -> (flange, input index, output index) of one kind with n members.
+    """Port name -> (flange, member position, input index, output index) of one kind.
 
-    The indices count within the element (_layout). Cached and read-only.
+    n members; a gain's one position is 0. The indices count within the
+    element (_layout). Cached and read-only.
     """
-    return MappingProxyType({name: (flange, u, y) for name, flange, _, u, y in _layout(kind, n)[4]})
+    return MappingProxyType({port[0]: port[1:] for port in _layout(kind, n)[4]})
 
 
 @lru_cache(maxsize=None)
@@ -190,7 +185,7 @@ def element_signals(kind: str, member_ids):
     states, outputs = element_labels(kind, member_ids)
     inputs = input_labels(kind, member_ids)
     table = {name: Port(name, flange, inputs[u], outputs[y])
-             for name, (flange, u, y) in port_index(kind, len(member_ids)).items()}
+             for name, (flange, _, u, y) in port_index(kind, len(member_ids)).items()}
     return states, tuple(inputs), tuple(outputs), table
 
 
@@ -483,27 +478,26 @@ def check_members(kind: str, ops, check_nominal: bool):
 
     Joint, branch and series members need positive nominal flow; with
     check_nominal their flows and pressures must also agree at every
-    junction. A pipe has no check.
+    junction (_check_junctions). A pipe has no check.
     """
-    check_flows(kind, [op.q_ss for op in ops])
-    if kind == "pipe" or not check_nominal:
-        return
-    if kind == "joint":
-        if not _rel_close(ops[0].q_ss, ops[1].q_ss + ops[2].q_ss):
-            raise ConfigurationError(
-                "inconsistent nominals: joint requires q0_ss = q1_ss + q2_ss")
-        if not _rel_close(ops[1].p_r_ss, ops[2].p_r_ss):
-            raise ConfigurationError(
-                "inconsistent nominals: joint requires p1_r_ss = p2_r_ss")
-    elif kind == "branch":
-        if not _rel_close(ops[0].q_ss, ops[1].q_ss + ops[2].q_ss):
-            raise ConfigurationError(
-                "inconsistent nominals: branch requires q0_ss = q1_ss + q2_ss")
-    elif kind == "series":
-        for up, down in zip(ops, ops[1:]):
-            if not _rel_close(up.q_ss, down.q_ss):
+    q = [op.q_ss for op in ops]
+    check_flows(kind, q)
+    if check_nominal:
+        _check_junctions(kind, q, [op.p_l_ss for op in ops], [op.p_r_ss for op in ops])
+
+
+def _check_junctions(kind: str, q, p_l, p_r):
+    """Raise the ConfigurationError of make_<kind> unless member flows and pressures agree."""
+    if kind in ("joint", "branch") and not _rel_close(q[0], q[1] + q[2]):
+        raise ConfigurationError(
+            f"inconsistent nominals: {kind} requires q0_ss = q1_ss + q2_ss")
+    if kind == "joint" and not _rel_close(p_r[1], p_r[2]):
+        raise ConfigurationError("inconsistent nominals: joint requires p1_r_ss = p2_r_ss")
+    if kind == "series":
+        for i in range(1, len(q)):
+            if not _rel_close(q[i - 1], q[i]):
                 raise ConfigurationError("inconsistent nominals: series requires equal flow")
-            if not _rel_close(up.p_r_ss, down.p_l_ss):
+            if not _rel_close(p_r[i - 1], p_l[i]):
                 raise ConfigurationError(
                     "inconsistent nominals: series requires chained pressures")
 

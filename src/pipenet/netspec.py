@@ -26,24 +26,19 @@ they are not elements and may not be linked directly. Element
 declaration order determines state ordering, so identical files yield
 identical matrices.
 
-A parsed description is compiled once (CompiledNetwork) into what its
-topology and declared data fix: λ per pipe, the node graph and balanced
-flows, the labels, and the node rule pattern of the closed model
-(composites.NodeRule). The compile works on integers: each element's
-inputs and outputs are numbered after those of the elements before it,
-a port names its input and output index within its element
-(composites.port_index), so links and external inputs wire input
-indices directly, and the pattern is placed from one template per
-element kind and size. No label is looked up by its rendered text.
-Fills evaluate it: spread carries the node pressures of K rows of gain
-values at once, fill_spread scatters the pipes' linearization
-coefficients (pipe_dynamics.IsoTable) and the gain factors into a stack
-of K system matrices A, and model fills A, B, C and D at given operating
-points from one lane of the same table. build_closed and
-network_steady_state are one compile and a one-row fill; a gain sweep
-compiles once and fills one table of rows per chunk of gains.
-build_elements and elaborate keep the per-element models of the oracle
-path (interconnect.close, analysis.mason_check).
+A parsed description is compiled once (CompiledNetwork), on integers:
+each element's inputs and outputs are numbered after those of the
+elements before it, and a port names its member position and its input
+and output index within its element (composites.port_index). The
+compile resolves and checks each link and input end once, beside each
+pipe's declared nominal; the node graph, the labels and the node rule
+pattern (composites.NodeRule) are built from that, and no label is
+looked up by its rendered text. Fills evaluate the pattern from the
+pipe table (pipe_dynamics.IsoTable): spread and fill_spread at K rows of
+gain values at once (a gain sweep, one table per chunk), model at one
+operating point (build_closed, network_steady_state). build_elements
+and elaborate keep the per-element models of the oracle path
+(interconnect.close, analysis.mason_check).
 """
 
 from __future__ import annotations
@@ -57,16 +52,16 @@ from functools import cached_property
 import numpy as np
 
 from . import core
-from .composites import (JUNCTIONS, NOMINAL_RTOL, CompositeModel, NodeRule, check_flows,
-                         check_gain, check_members, element_labels, input_labels, make_branch,
-                         make_gain, make_joint, make_pipe, make_series, port_ends, port_index)
+from .composites import (JUNCTIONS, NOMINAL_RTOL, CompositeModel, NodeRule, _check_junctions,
+                         check_flows, check_gain, element_labels, input_labels, make_branch,
+                         make_gain, make_joint, make_pipe, make_series, port_index)
 from .core import GasProperties, OperatingPoint, PipeParams, SignalLabel, StateSpaceModel
 from .errors import ConfigurationError, DomainError, ParseError
 from .friction import friction_factor
 # close stays importable here although nothing here calls it: perfbench/tracer.py wraps
 # netspec.close, netspec.stack and netspec.build_FG by name
-from .interconnect import (ConnectionMatrices, StackedSystem, build_FG, close,  # noqa: F401
-                           stack, wire)
+from .interconnect import (ConnectionMatrices, StackedSystem, _check_flanges, build_FG,  # noqa: F401
+                           close, stack, wire)
 from .pipe_dynamics import IsoTable
 from .steady_state import exact_root, isothermal_nominal, relation_constants
 
@@ -136,7 +131,7 @@ class CompositeDecl:
     name: str
     pipes: tuple[tuple[str, ...], ...]   # pipe ids of each key, in text order
 
-    @cached_property  # read at every fill of a gain sweep
+    @cached_property  # read by each pass of the compile
     def members(self) -> tuple[str, ...]:
         """Pipe ids in the order make_<kind> takes them."""
         counts, order = COMPOSITES[self.kind]
@@ -405,11 +400,6 @@ def _ids(el) -> tuple[str, ...]:
     return el.members or (el.name,)
 
 
-def _ends(el) -> dict[str, tuple[str, str]]:
-    """Port name -> (pipe or gain id, flange) of one element."""
-    return port_ends(el.kind, _ids(el))
-
-
 def _group(ends, joins) -> dict:
     """Number the classes of ends that the joins make equal (union-find)."""
     parent = {e: e for e in ends}
@@ -489,24 +479,36 @@ class Spread:
                      for element, signal, held, came, lanes in self.unmet if lanes[lane])
 
 
+def _port(tables: dict, ref: PortRef):
+    """tables[ref.element][ref.port], or the ConfigurationError of an unknown element or port."""
+    table = tables.get(ref.element)
+    if table is None:
+        raise ConfigurationError(f"unknown element {ref.element!r}")
+    try:
+        return table[ref.port]
+    except KeyError:
+        raise ConfigurationError(
+            f"element {ref.element!r} has no port {ref.port!r}") from None
+
+
 def _wiring(spec: NetworkSpec, ports: dict):
     """Port pairs of the links and (name, port) of the external inputs.
 
     ports maps each element id to its port table.
     """
-    def port(ref: PortRef):
-        table = ports.get(ref.element)
-        if table is None:
-            raise ConfigurationError(f"unknown element {ref.element!r}")
-        try:
-            return table[ref.port]
-        except KeyError:
-            raise ConfigurationError(
-                f"element {ref.element!r} has no port {ref.port!r}") from None
-
-    link_ports = [(port(a), port(b)) for a, b in spec.links]
-    external_ports = [(name, port(ref)) for name, ref in spec.inputs]
+    link_ports = [(_port(ports, a), _port(ports, b)) for a, b in spec.links]
+    external_ports = [(name, _port(ports, ref)) for name, ref in spec.inputs]
     return link_ports, external_ports
+
+
+def _exit_pressure(p_l: float, c: float, grav: float) -> float:
+    """isothermal_nominal's exit pressure at inlet p_l from held c and grav, with its DomainErrors."""
+    if not p_l > 0.0:
+        raise DomainError("nominal left pressure must be strictly positive")
+    p_r = exact_root(p_l, c, grav)
+    if not p_r > 0.0:
+        raise DomainError("OperatingPoint.p_r_ss must be strictly positive")
+    return p_r
 
 
 def _unknown_gain(element_id: str) -> ConfigurationError:
@@ -517,12 +519,12 @@ class CompiledNetwork:
     """A network description compiled once: what it fixes before any operating point is known.
 
     Holds the resolved friction factor of every pipe and the declared gain
-    values; on first use it also holds the steady-state program (the node
-    graph, the projected flows, the order of the pressure spread and each
-    pipe's relation constants), the pipes' linearization constants as
-    arrays (pipe_dynamics.IsoTable) and the model's labels and node rule
-    pattern (composites.NodeRule), wired by port offset (_closure). None
-    of these depend on a gain value.
+    values. On first use it reads the spec once (_resolved): the ends of
+    the links and inputs, checked, and per pipe its declared nominal and
+    relation constants. The steady-state program (_program), the model's
+    labels and node rule pattern (_closure) and the fills read only that,
+    and the pipes' linearization constants as arrays (pipe_dynamics.IsoTable).
+    None of these depend on a gain value.
 
     A gain sweep compiles once and fills a table of K gain rows at a time
     (analysis.stability_margin_sweep): spread checks every k first, then
@@ -552,39 +554,71 @@ class CompiledNetwork:
         return self._closure[3].shape
 
     @cached_property
+    def _resolved(self):
+        """The spec read once, on integers: (elements, links, inputs, pipes).
+
+        elements: per element (kind, member ids, first input and output, slice
+        of pipe_ids). links: (right end, left end); inputs: one end each. An
+        end is (element, member position, flange, input, output index), the
+        indices counted over the network (composites.port_index). pipes: per
+        pipe (declared q, declared pl, own nominal?, relation_constants).
+        Raises the label route's ConfigurationErrors (_port, interconnect.wire)
+        for an unknown element or port and for a link's flanges, then for a
+        pipe with no nominal.
+        """
+        spec = self.spec
+        elements, ends, port, pipe = [], {}, 0, 0
+        for e, el in enumerate(spec.elements):
+            ids = _ids(el)
+            table = port_index(el.kind, len(ids))
+            ends[el.name] = {name: (e, i, flange, port + u, port + y)
+                             for name, (flange, i, u, y) in table.items()}
+            elements.append((el.kind, ids, port, slice(pipe, pipe + len(el.members))))
+            port += len(table)
+            pipe += len(el.members)
+        links = [(_port(ends, a), _port(ends, b)) for a, b in spec.links]
+        inputs = [_port(ends, ref) for _, ref in spec.inputs]
+        for right, left in links:
+            _check_flanges(right[2], left[2])
+        pipes = []
+        for pid in self.pipe_ids:
+            nom, own = _nominal(spec, pid)
+            pipes.append((nom.q, nom.pl, own,
+                          *relation_constants(spec.gas.T_0, self.params[pid], spec.gas)))
+        return elements, links, inputs, pipes
+
+    @cached_property
     def _program(self):
         """(starts, steps, node count, owners, flows) of the pressure spread (network_steady_state).
 
         The spread visits the same nodes in the same order at every gain
-        value, so it is recorded once. starts are (node, declared pl);
-        steps are (pipe or gain id, gain index or -1 for a pipe, pipe
-        index or -1 for a gain, the pipe's c = coef q|q| and grav of
-        steady_state.exact_root, from node, to node, whether this is the
-        first arrival at to); owners map each pipe and gain id to its
-        element; flows are the pipe flows in pipe_ids order.
+        value, so it is recorded once, from _resolved. starts are (node,
+        declared pl); steps are (pipe or gain id, gain index or -1 for a
+        pipe, pipe index or -1 for a gain, the pipe's c = coef q|q| and
+        grav of steady_state.exact_root, from node, to node, whether this
+        is the first arrival at to); owners map each pipe and gain id to
+        its element; flows are the pipe flows in pipe_ids order.
         """
-        spec = self.spec
-        ports = {el.name: _ends(el) for el in spec.elements}
+        elements, links, inputs, declared = self._resolved
         pipe_ids = self.pipe_ids
-        owner = {pid: el.name for el in spec.elements for pid in el.members}
+        owner = {pid: el.name for el in self.spec.elements for pid in el.members}
         owner.update((g, g) for g in self._gain_index)
         ends = [(name, flange) for name in owner for flange in "lr"]
 
-        def end(ref: PortRef):
-            return ports[ref.element][ref.port]
+        def end(e, i, flange, *_):
+            return elements[e][1][i], flange
 
-        joins = [(end(a), end(b)) for a, b in spec.links]
-        for el in spec.elements:  # each junction of a composite holds its ends at one pressure
-            ids = el.members
-            for feeders, takers in JUNCTIONS[el.kind](len(ids)):
+        joins = [(end(*a), end(*b)) for a, b in links]
+        # each junction of a composite holds its ends at one pressure
+        for kind, ids, _, _ in elements:
+            for feeders, takers in JUNCTIONS[kind](len(ids)):
                 meet = [(ids[i], "r") for i in feeders] + [(ids[i], "l") for i in takers]
                 joins += [(meet[0], e) for e in meet[1:]]
         node = _group(ends, joins)
         flow_node = _group(ends, joins + [((g, "l"), (g, "r")) for g in self._gain_index])
 
-        declared = {pid: _nominal(spec, pid)[0] for pid in pipe_ids}
-        q0 = np.array([declared[pid].q for pid in pipe_ids])
-        boundary = {flow_node[end(ref)] for _, ref in spec.inputs}
+        q0 = np.array([row[0] for row in declared])
+        boundary = {flow_node[end(*ref)] for ref in inputs}
         balanced = [n for n in sorted(set(flow_node.values())) if n not in boundary]
         row = {n: i for i, n in enumerate(balanced)}
         N = np.zeros((len(balanced), len(pipe_ids)))
@@ -599,22 +633,21 @@ class CompiledNetwork:
             q = q0 - np.linalg.lstsq(N, resid, rcond=None)[0]
         flows = tuple(q.tolist())
 
-        T_0 = spec.gas.T_0
         leaving = {}  # node -> [(pipe or gain id, gain index, pipe index, c, grav)]
-        for i, pid in enumerate(pipe_ids):
-            coef, grav = relation_constants(T_0, self.params[pid], spec.gas)
+        for i, (pid, (_, _, _, coef, grav)) in enumerate(zip(pipe_ids, declared)):
             c = coef * flows[i] * abs(flows[i])
             leaving.setdefault(node[(pid, "l")], []).append((pid, -1, i, c, grav))
         for g, i in self._gain_index.items():
             leaving.setdefault(node[(g, "l")], []).append((g, i, -1, None, None))
 
+        fed = [elements[e][3].start + i for e, i, flange, _, _ in inputs
+               if flange == "l" and elements[e][0] != "gain"]
         starts, steps, reached = [], [], set()
-        fed = [end(ref)[0] for _, ref in spec.inputs if ref.port[0] == "l"]
-        for pid in fed + pipe_ids:  # pressure inputs first, then inlets nothing reached
-            start = node.get((pid, "l"))
-            if pid not in declared or start in reached:
+        for i in fed + list(range(len(pipe_ids))):  # pressure inputs first, then inlets nothing reached
+            start = node[(pipe_ids[i], "l")]
+            if start in reached:
                 continue
-            starts.append((start, declared[pid].pl))
+            starts.append((start, declared[i][1]))
             reached.add(start)
             queue = deque([start])
             while queue:
@@ -633,10 +666,9 @@ class CompiledNetwork:
         Every k is checked first (composites.check_gain), so a bad one
         gives the same ConfigurationError wherever its gain sits. The node
         pressures are (node, K) arrays: a gain multiplies a row by its k,
-        and a pipe's exit row takes one steady_state.exact_root per lane,
-        so each lane equals a spread of its row alone, bit for bit. Every
-        lane's inlet and exit pressures must be strictly positive
-        (DomainError); later arrivals are checked lane-wise (_isclose).
+        and a pipe's exit row takes one _exit_pressure per lane, so each
+        lane equals a spread of its row alone, bit for bit. Later arrivals
+        are checked lane-wise (_isclose).
         """
         gains = np.asarray(gains, dtype=float)
         for k in gains.ravel().tolist():
@@ -650,11 +682,7 @@ class CompiledNetwork:
         for name, gain, i, c, grav, n, to, first in steps:
             x = pressure[n]
             if gain < 0:
-                if not np.all(x > 0.0):
-                    raise DomainError("nominal left pressure must be strictly positive")
-                y = np.array([exact_root(base, c, grav) for base in x.tolist()])
-                if not np.all(y > 0.0):
-                    raise DomainError("OperatingPoint.p_r_ss must be strictly positive")
+                y = np.array([_exit_pressure(base, c, grav) for base in x.tolist()])
                 p_l[i], p_r[i] = x, y
                 order.append(i)
             else:
@@ -678,16 +706,11 @@ class CompiledNetwork:
         return NetworkSteadyState(ops, spread.unmet_at(0))
 
     def fill_spread(self, spread: Spread) -> np.ndarray:
-        """The (K, n, n) stack of the closed network's A at every lane of spread.
+        """The (K, n, n) stack of the closed network's A at every lane of spread (see _fill).
 
-        Checks the member flows of each composite as make_* would (gains
-        were checked by spread), then fills the node rule once for all
-        lanes. B, C and D are not scattered: a gain sweep reads only A.
+        B, C and D are not scattered: a gain sweep reads only A.
         """
-        for el in self.spec.elements:
-            check_flows(el.kind, [spread.q[i] for i in self._members[el.name]])
-        coef = self._iso.at(spread.q, spread.p_l.T)
-        return self._closure[3].fill(coef, spread.gains, matrices=1)[0]
+        return self._fill(spread.q, spread.p_l.T, spread.gains, matrices=1)[0]
 
     def members_at(self, ops=None):
         """Per element: its declaration, the (params, op) of its member pipes, and
@@ -716,88 +739,70 @@ class CompiledNetwork:
     def _closure(self):
         """(state labels, input names, output labels, node rule) of the closed model.
 
-        Wired by port offset: an element has one input and one output per
-        port, numbered after those of the elements before it, and each
-        port of its kind names its own input and output index
-        (composites.port_index). So a link or an external input sets the
-        source of an input index directly (interconnect.wire), with the
-        checks and error texts of the label route (_wiring, _drivers).
+        Wired by port offset (_resolved, interconnect.wire), with the error
+        texts of the label route (_wiring, _drivers).
         """
-        spec = self.spec
-        kinds = [(el.kind, _ids(el)) for el in spec.elements]
-        states, outputs, first = [], [], []  # first: each element's first input and output
-        for kind, ids in kinds:
-            first.append(len(outputs))
+        elements, links, inputs, _ = self._resolved
+        states, outputs = [], []
+        for kind, ids, _, _ in elements:
             own_states, own_outputs = element_labels(kind, ids)
             states += own_states
             outputs += own_outputs
-        members = [pid for _, ids in kinds for pid in ids]
+        members = [pid for _, ids, _, _ in elements for pid in ids]
         if len(set(members)) < len(members):  # labels may collide: the label route's checks
-            core.label_index([lab for kind, ids in kinds for lab in input_labels(kind, ids)],
-                             "input")
+            core.label_index([lab for kind, ids, _, _ in elements
+                              for lab in input_labels(kind, ids)], "input")
             core.label_index(outputs, "output")
-        element = {el.name: e for e, el in enumerate(spec.elements)}
-
-        def end(ref: PortRef):
-            e = element.get(ref.element)
-            if e is None:
-                raise ConfigurationError(f"unknown element {ref.element!r}")
-            kind, ids = kinds[e]
-            try:
-                flange, u, y = port_index(kind, len(ids))[ref.port]
-            except KeyError:
-                raise ConfigurationError(
-                    f"element {ref.element!r} has no port {ref.port!r}") from None
-            return flange, first[e] + u, first[e] + y
 
         def input_label(i):
-            e = bisect_right(first, i) - 1
-            return input_labels(*kinds[e])[i - first[e]]
+            kind, ids, first, _ = elements[bisect_right([el[2] for el in elements], i) - 1]
+            return input_labels(kind, ids)[i - first]
 
-        links = [(end(a), end(b)) for a, b in spec.links]
-        drivers = wire(len(outputs), links, [end(ref) for _, ref in spec.inputs], input_label)
-        rule = NodeRule([(kind, len(ids)) for kind, ids in kinds], drivers, len(spec.inputs))
-        return tuple(states), tuple(name for name, _ in spec.inputs), tuple(outputs), rule
+        drivers = wire(len(outputs), [(a[2:], b[2:]) for a, b in links],
+                       [end[2:] for end in inputs], input_label)
+        rule = NodeRule([(kind, len(ids)) for kind, ids, _, _ in elements], drivers, len(inputs))
+        return tuple(states), tuple(name for name, _ in self.spec.inputs), tuple(outputs), rule
 
     @cached_property
     def _iso(self) -> IsoTable:
         """The pipes' linearization constants as arrays, in pipe_ids order."""
         return IsoTable([self.params[pid] for pid in self.pipe_ids], self.spec.gas)
 
-    @cached_property
-    def _members(self) -> dict[str, list[int]]:
-        """Element name -> the pipe_ids indices of its member pipes."""
-        index = {pid: i for i, pid in enumerate(self.pipe_ids)}
-        return {el.name: [index[pid] for pid in el.members] for el in self.spec.elements}
+    def _fill(self, q, p_l, gains, matrices: int = 4, declared: bool = False):
+        """NodeRule.fill at pipe flows q, (K, P) inlet pressures p_l and (K, n_gains) checked gains.
 
-    def _fill(self, ops=None, gains=None):
-        """A, B, C and D of the closed network at ops and gains (see model).
-
-        Checks each element as make_* would (members_at), then fills the
-        node rule with one lane of the pipe table (_iso), which equals
-        composites.coefficient_row bit for bit.
+        First checks each composite as make_* would, in declaration order:
+        at the declared nominal its members' exit pressures (_exit_pressure),
+        its member flows, and its junctions if each member has its own
+        nominal. The pipe table (_iso) equals composites.coefficient_row
+        bit for bit.
         """
-        gains = self.gains if gains is None else gains
-        points, g = [], 0
-        for el, members, check in self.members_at(ops):
-            if el.kind == "gain":
-                check_gain(gains[g])
-                g += 1
-            else:
-                own = [op for _, op in members]
-                check_members(el.kind, own, check)
-                points += own
-        coef = self._iso.at([op.q_ss for op in points], [[op.p_l_ss for op in points]])
-        return tuple(M[0] for M in self._closure[3].fill(coef, [gains])[:4])
+        for kind, _, _, pipes in self._resolved[0]:
+            if declared:
+                rows = self._resolved[3][pipes]
+                p_r = [_exit_pressure(pl, coef * flow * abs(flow), grav)
+                       for flow, pl, _, coef, grav in rows]
+            check_flows(kind, q[pipes])
+            if declared and all(row[2] for row in rows):
+                _check_junctions(kind, q[pipes], [row[1] for row in rows], p_r)
+        return self._closure[3].fill(self._iso.at(q, p_l), gains, matrices)
 
     def model(self, ops=None, gains=None) -> StateSpaceModel:
         """The closed network model at ops and gains (default: declared nominals and gains).
 
-        The labelled form of _fill. Equals close(*elaborate(spec, steady))
-        with the inputs named, where steady carries ops.
+        Checks every k first, as spread does, then fills one lane (_fill).
+        Equals close(*elaborate(spec, steady)) with the inputs named, where
+        steady carries ops.
         """
         states, inputs, outputs, _ = self._closure
-        return StateSpaceModel(*self._fill(ops, gains), states, inputs, outputs)
+        gains = self.gains if gains is None else gains
+        for k in gains:
+            check_gain(k)
+        points = (self._resolved[3] if ops is None
+                  else [(ops[pid].q_ss, ops[pid].p_l_ss) for pid in self.pipe_ids])
+        A, B, C, D, _ = self._fill([p[0] for p in points], [[p[1] for p in points]], [gains],
+                                   declared=ops is None)
+        return StateSpaceModel(A[0], B[0], C[0], D[0], states, inputs, outputs)
 
 
 def network_steady_state(spec: NetworkSpec) -> NetworkSteadyState:

@@ -49,6 +49,15 @@ def test_build_closed_error_text(text, message):
     assert str(err.value) == message
 
 
+def test_default_nominal_skips_junction_checks():
+    # a composite's junctions are checked only when each member has its own
+    # nominal: with P3 on the '*' default, P1 and P2 may disagree in q and p_r
+    spec = pn.parse(JOINT + "nominal * pl=25e5 q=20\nnominal P1 pl=25e5 q=10\n"
+                            "nominal P2 pl=30e5 q=15\n")
+    assert pn.build_closed(spec).A.shape == (5, 5)
+    assert pn.elaborate(spec)[0].model.A.shape == (5, 5)
+
+
 def test_sweep_to_zero_gain():
     spec = pn.parse(GAIN_AT_END)
     with pytest.raises(ConfigurationError) as err:
@@ -131,6 +140,26 @@ def test_wiring_error_text(links, inputs, message):
         with pytest.raises(ConfigurationError) as err:
             build(spec)
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize("links, inputs", [
+    (((R("A", "r"), R("C", "l")),), INPUTS),
+    (LINK, (("up", R("X", "l")), ("uq", R("B", "r")))),
+    (((R("A", "r2"), R("B", "l")),), INPUTS),
+    (LINK, (("up", R("A", "l1")), ("uq", R("B", "r")))),
+    (((R("B", "l"), R("A", "r")),), INPUTS),
+    (((R("A", "r"), R("B", "r")),), INPUTS),
+], ids=["link_element", "input_element", "link_port", "input_port", "left_to_right",
+        "right_to_right"])
+def test_steady_state_wiring_error_text(links, inputs):
+    # the steady state reads the ports the build reads: a bad element, port or
+    # flange is the build's ConfigurationError, not a KeyError or a quiet return
+    spec = two_pipes(links, inputs)
+    with pytest.raises(ConfigurationError) as built:
+        pn.build_closed(spec)
+    with pytest.raises(ConfigurationError) as steady:
+        pn.network_steady_state(spec)
+    assert str(steady.value) == str(built.value)
 
 
 def test_duplicate_element_error_text():

@@ -227,3 +227,16 @@ def test_sim_loads_numpy_only(tmp_path):
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True).stdout
     assert out.strip() == "0 []"
+
+
+def test_eig_loads_numpy_only():
+    # the closed model and its eigenvalues need no scipy
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    demo = os.path.join(os.path.dirname(__file__), "..", "demos", "loop.pipenet")
+    code = ("import io, sys, contextlib, pipenet.cli; out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out): rc = pipenet.cli.main(['eig', sys.argv[1]])\n"
+            "print(rc, len(out.getvalue().splitlines()), "
+            "sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code, demo], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.strip() == "0 20 []"  # the header and the 19 eigenvalues

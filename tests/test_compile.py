@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import pipenet as pn
-from pipenet import composites, core, interconnect, netspec
+from pipenet import composites, core, interconnect, netspec, steady_state
 
 from conftest import chain_text, mesh_text
 
@@ -170,6 +170,25 @@ def test_fill_equals_coefficient_row(specs):
         ref = net._closure[3].fill(composites.coefficient_row(pipes, spec.gas), [net.gains])
         for got, want in zip((model.A, model.B, model.C, model.D), ref):
             assert got.shape == want[0].shape and got.tobytes() == want[0].tobytes()
+
+
+def test_declared_exit_pressures_equal_isothermal_nominal(specs, monkeypatch):
+    # the build solves each pipe's exit pressure on its held relation constants,
+    # in pipe order; the one-pipe solve takes the declared nominal from scratch
+    seen = []
+    exit_pressure = netspec._exit_pressure
+    monkeypatch.setattr(netspec, "_exit_pressure",
+                        lambda *args: seen.append(exit_pressure(*args)) or seen[-1])
+    for spec in specs:
+        seen.clear()
+        pn.build_closed(spec)
+        net = netspec.CompiledNetwork(spec)
+        ref = []
+        for pid in net.pipe_ids:
+            nom = spec.nominals.get(pid, spec.nominals.get("*"))
+            ref.append(steady_state.isothermal_nominal(nom.pl, nom.q, spec.gas.T_0,
+                                                       net.params[pid], spec.gas).p_r_ss)
+        assert np.array(seen).tobytes() == np.array(ref).tobytes()
 
 
 def test_build_renders_each_label_once(monkeypatch):

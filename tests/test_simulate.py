@@ -218,3 +218,18 @@ def test_zoh_at_long_steps_reaches_dc_gain(loop_model, dt):
 def test_zoh_refuses_too_many_squarings(loop_model):
     with pytest.raises(NumericalError, match=r"dt=1e\+09 needs 35 squarings"):
         simulate.zoh_discretize(loop_model, 1e9)
+
+
+def test_pipe_rhs_3d_is_rhs_3d(gas, ref_lambda):
+    # the array wrapper of the nonisothermal right-hand side, with every term active
+    params = pn.PipeParams(L=500.0, d=0.7, d_out=0.75, h=3.0, lam=ref_lambda, k_rad=2.0)
+    rhs = simulate.pipe_rhs_3d(params, gas)
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        x = (rng.uniform(20e5, 30e5), rng.uniform(-30.0, 30.0), rng.uniform(280.0, 320.0))
+        u = (rng.uniform(20e5, 30e5), rng.uniform(-30.0, 30.0), rng.uniform(280.0, 320.0))
+        ref = pipe_dynamics.rhs_3d(pipe_dynamics.PipeState3D(*x), pipe_dynamics.PipeInput3D(*u),
+                                   params, gas)
+        got = rhs(np.array(x), np.array(u))
+        assert isinstance(got, np.ndarray) and got.shape == (3,)
+        assert got.tobytes() == np.asarray(ref, dtype=float).tobytes()
