@@ -11,8 +11,9 @@ one netspec.build_closed assembles (the build path).
 freq_response is the path for grids: it factors the sparse resolvent
 i w I - A once per frequency (scipy's SuperLU), so its cost follows the
 nonzeros of A. Its CSC pattern is built once per call from the model's
-entries view (StateSpaceModel.entries), each frequency refills only the
-diagonal, and C is applied as a gather. H is bit for bit what a
+entries (StateSpaceModel.entries; a built model holds the node rule's,
+so its dense A and C are never made here), each frequency refills only
+the diagonal, and C is applied as a gather. H is bit for bit what a
 fresh sparse matrix and dense C products at every frequency give
 (tests/test_resolvent.py). transfer_at is the dense single-point
 evaluation that mason_check and the tests use as the reference.

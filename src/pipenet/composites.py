@@ -43,12 +43,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 from types import MappingProxyType
 
 import numpy as np
 
-from .core import GasProperties, OperatingPoint, PipeParams, SignalLabel, StateSpaceModel
+from .core import (GasProperties, ModelEntries, OperatingPoint, PipeParams, SignalLabel,
+                   StateSpaceModel)
 from .errors import ConfigurationError, NumericalError
 # linearize_2d stays importable here: perfbench/tracer.py wraps composites.linearize_2d
 from .pipe_dynamics import iso_coefficients, linearize_2d  # noqa: F401
@@ -196,7 +197,7 @@ def _scatter(shape, flat, values) -> np.ndarray:
     offset k * size, so one bincount fills the (K, *shape) stack.
     """
     lanes = values.shape[:-1]
-    size = shape[0] * shape[1]
+    size = math.prod(shape)
     n = math.prod(lanes)
     if n != 1:
         flat = (flat + size * np.arange(n)[:, None]).ravel()
@@ -296,6 +297,9 @@ class NodeRule:
     The pattern is placed with numpy from one cached _template per element
     kind and size, shifted by each element's first state, coefficient slot
     and two-feeder node; only a gain's outputs are resolved one by one.
+    For a model, A's pattern is compressed once, to its distinct positions
+    in row-major order and the position of each entry among them, so one
+    bincount sums a lane's duplicates without a dense array (_positions).
     """
 
     def __init__(self, elements, drivers, n_external: int):
@@ -364,6 +368,9 @@ class NodeRule:
 
         self.shape = (n_states, n_external, n_outputs)
         self._parallel = parallel
+        # C's gather: the outputs that read a state, and per output the state
+        # it reads (0 for one that reads an external column)
+        self._c_rows, self._c_reads = c, np.where(on_state, reads, 0)
         # per matrix: (shape, flat positions, coefficient columns, scale slots) of
         # its entries; C and D hold a factor alone, their columns are None
         self._patterns = [
@@ -391,12 +398,63 @@ class NodeRule:
         gain's k; each of the K rows is one lane. Returns the (K, n, n),
         (K, n, m), (K, p, n) and (K, p, m) stacks, each scattered by one
         bincount over all lanes, then the (K, n_two_feeder) delta;
-        matrices=1 scatters A alone, all that a gain sweep reads. delta and
-        the gain-chain factors are taken per lane, so each lane equals a
-        fill of its row alone, bit for bit. Memory grows with K, so the
-        caller bounds it.
+        matrices=1 makes A alone, all that a gain sweep reads. The stacks
+        scatter the per-entry values (_values) that model sums into its
+        entries, so each lane equals a fill of its row alone, and the dense
+        A and C of that row's model, bit for bit. Memory grows with K, so
+        the caller bounds it.
         Raises the NumericalError of interconnect.close when, in any lane,
         ||I - D F||_F ||(I - D F)^-1||_F exceeds CONDITION_LIMIT.
+        """
+        values, delta = self._values(coef, gains, matrices)
+        return (*(_scatter(shape, flat, lanes)
+                  for (shape, flat, _, _), lanes in zip(self._patterns, values)), delta)
+
+    def model(self, coef, gains, state_labels, input_labels, output_labels) -> StateSpaceModel:
+        """The labelled model of one lane of fill, with A and C held as entries (core.ModelEntries).
+
+        coef and gains hold one row each. B and D are dense. The model
+        keeps the values of A's and C's entries and makes its entries from
+        them on first use (_entries): A's sums at its distinct positions
+        with exact zeros dropped, and C's gather from the outputs' reads,
+        field by field what ModelEntries scans from fill's A and C. Dense A
+        and C are made only when read.
+        """
+        (a, b, c, d), _ = self._values(coef, gains, 4)
+        B, D = (_scatter(shape, flat, lanes)[0]
+                for (shape, flat, _, _), lanes in zip(self._patterns[1::2], (b, d)))
+        return StateSpaceModel._from_entries(partial(self._entries, a[0], c[0]), B, D,
+                                             state_labels, input_labels, output_labels)
+
+    def _entries(self, a, c) -> ModelEntries:
+        """The entries of one lane whose A and C entries take the values a and c (_values)."""
+        n, _, p = self.shape
+        rows, cols, slots = self._positions
+        sums = _scatter((len(rows),), slots, a)
+        keep = np.flatnonzero(sums)  # nan is kept, as np.nonzero keeps it
+        c_cols = c_factors = None
+        if n:  # with no states there is nothing to gather
+            c_factors = _scatter((p,), self._c_rows, c)  # 0.0 on an output that reads no state
+            c_cols = np.where(c_factors != 0, self._c_reads, 0)
+        return ModelEntries._of((n, p), rows[keep], cols[keep], sums[keep], c_cols, c_factors)
+
+    @cached_property
+    def _positions(self):
+        """A's distinct positions in row-major order, as (rows, cols), and the one of each entry.
+
+        One bincount over the entries' positions then sums a lane's
+        duplicates in entry order from 0.0, as a dense scatter sums them.
+        Made when a model first makes its entries; fill scatters directly.
+        """
+        flat, slots = np.unique(self._patterns[0][1], return_inverse=True)
+        return (*np.divmod(flat, max(self.shape[0], 1)), slots)
+
+    def _values(self, coef, gains, matrices: int):
+        """The (K, entries) values of the first `matrices` patterns, in entry order, then delta.
+
+        delta and the gain-chain factors are taken per lane, so each lane
+        equals one of its row alone, bit for bit. Raises the NumericalError
+        of fill.
         """
         coef, gains = np.asarray(coef, dtype=float), np.asarray(gains, dtype=float)
         a1, a2 = coef[:, self._parallel[0]], coef[:, self._parallel[1]]
@@ -420,9 +478,8 @@ class NodeRule:
             scale.append([1.0, -1.0, *factors])
 
         scale = np.array(scale)
-        return (*(_scatter(shape, flat, scale[:, slots] if cols is None
-                           else coef[:, cols] * scale[:, slots])
-                  for shape, flat, cols, slots in self._patterns[:matrices]), delta)
+        return [scale[:, slots] if cols is None else coef[:, cols] * scale[:, slots]
+                for _, _, cols, slots in self._patterns[:matrices]], delta
 
 
 def coefficient_row(pipes, gas: GasProperties | None):

@@ -153,6 +153,12 @@ class StateSpaceModel:
 
     Every state, input and output carries a label (a SignalLabel for
     physical boundary signals, a plain string for named external inputs).
+
+    A model made from dense arrays keeps them and scans A and C for their
+    entries on first use. A model of the node rule (composites.NodeRule.model)
+    holds no dense A or C: its entries come from the rule's fill, and the
+    dense A and C are made from them on first read. n_states and n_outputs
+    read B and D.
     """
 
     A: np.ndarray
@@ -163,27 +169,53 @@ class StateSpaceModel:
     input_labels: tuple
     output_labels: tuple
 
+    @classmethod
+    def _from_entries(cls, make_entries, B, D, state_labels, input_labels,
+                      output_labels) -> "StateSpaceModel":
+        """The model whose A and C are the ModelEntries that make_entries() returns.
+
+        make_entries is called on the first use of entries, A or C; dense A
+        and C are made from the entries on their first read.
+        """
+        model = cls.__new__(cls)
+        vars(model).update(_make_entries=make_entries, B=B, D=D, state_labels=state_labels,
+                           input_labels=input_labels, output_labels=output_labels)
+        model.__post_init__()
+        return model
+
+    def __getattr__(self, name):
+        # reached only for an attribute the model does not hold: A and C of a
+        # model made by _from_entries, until their first read
+        if name not in ("A", "C") or "_make_entries" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = self.entries._dense_a() if name == "A" else self.entries._dense_c()
+        object.__setattr__(self, name, value)
+        return value
+
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        C = np.atleast_2d(np.asarray(self.C, dtype=float))
-        D = np.atleast_2d(np.asarray(self.D, dtype=float))
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "D", D)
+        held = self.__dict__  # without A and C when made by _from_entries
+        for name in ("A", "B", "C", "D"):
+            if name in held:
+                object.__setattr__(self, name, np.atleast_2d(np.asarray(held[name], dtype=float)))
         object.__setattr__(self, "state_labels", tuple(self.state_labels))
         object.__setattr__(self, "input_labels", tuple(self.input_labels))
         object.__setattr__(self, "output_labels", tuple(self.output_labels))
-        n, m, p = A.shape[0], B.shape[1], C.shape[0]
-        if A.shape != (n, n):
-            raise ConfigurationError(f"A must be square, got {A.shape}")
+        B, D = self.B, self.D
+        m = B.shape[1]
+        if "A" in held:
+            A, C = self.A, self.C
+            n, p = A.shape[0], C.shape[0]
+            if A.shape != (n, n):
+                raise ConfigurationError(f"A must be square, got {A.shape}")
+        else:  # made by _from_entries: B and D fix the shape
+            n, p = B.shape[0], D.shape[0]
         if B.shape != (n, m):
             raise ConfigurationError(f"B shape {B.shape} inconsistent with n={n}")
-        if C.shape != (p, n):
+        if "C" in held and C.shape != (p, n):
             raise ConfigurationError(f"C shape {C.shape} inconsistent with n={n}")
         if D.shape != (p, m):
             raise ConfigurationError(f"D shape {D.shape} inconsistent with (p={p}, m={m})")
+        states = None  # id(label) -> str(label) of each state: an output that is one renders once
         for labels, count, what in (
             (self.state_labels, n, "state"),
             (self.input_labels, m, "input"),
@@ -191,12 +223,17 @@ class StateSpaceModel:
         ):
             if len(labels) != count:
                 raise ConfigurationError(f"expected {count} {what} labels, got {len(labels)}")
+            if states is None:
+                texts = [str(lab) for lab in labels]
+                states = dict(zip(map(id, labels), texts))
+            else:  # "or": a label that renders empty is rendered again, to the same text
+                texts = [states.get(id(lab)) or str(lab) for lab in labels]
             # rendered label -> position; the *_index lookups read it
-            object.__setattr__(self, f"_{what}_index", label_index(labels, what))
+            object.__setattr__(self, f"_{what}_index", _rendered_index(texts, what))
 
     @property
     def n_states(self) -> int:
-        return self.A.shape[0]
+        return self.B.shape[0]
 
     @property
     def n_inputs(self) -> int:
@@ -204,15 +241,18 @@ class StateSpaceModel:
 
     @property
     def n_outputs(self) -> int:
-        return self.C.shape[0]
+        return self.D.shape[0]
 
     @cached_property
     def entries(self) -> "ModelEntries":
-        """A's nonzero entries and C's gather (ModelEntries), read-only, made on first use.
+        """A's nonzero entries and C's gather (ModelEntries), read-only.
 
-        Not a field: a model made by dataclasses.replace derives its own.
+        Made on first use: scanned from A and C, or, for a model of the
+        node rule, from its fill. Not a field: a model made by
+        dataclasses.replace derives its own.
         """
-        return ModelEntries(self.A, self.C)
+        make = self.__dict__.get("_make_entries")
+        return ModelEntries(self.A, self.C) if make is None else make()
 
     def input_index(self, label) -> int:
         return _index_of(self._input_index, label, "input")
@@ -232,20 +272,54 @@ class ModelEntries:
     no row of C holds more than one nonzero, c_cols and c_factors give each
     output row's column and factor (an empty row reads column 0, factor
     0.0); otherwise both are None. The arrays are read-only.
+
+    ModelEntries(A, C) scans dense arrays. The node rule gives the same
+    fields without them (_of, composites.NodeRule.model); the dense A and
+    C are then made from the fields when first asked for, bit for bit
+    what the rule's fill scatters.
     """
 
     def __init__(self, A: np.ndarray, C: np.ndarray):
         # np.nonzero(A), row-major; the flat scan of a bool mask is ~10x faster
         rows, cols = np.divmod(np.flatnonzero(A != 0), max(A.shape[1], 1))
-        self.rows, self.cols, self.values = _frozen(rows), _frozen(cols), _frozen(A[rows, cols])
         c_cols = None
         if C.shape[1]:  # with no states there is nothing to gather
             nonzero = C != 0
             if nonzero.sum(axis=1).max(initial=0) <= 1:
                 c_cols = nonzero.argmax(axis=1)
-        self.c_cols = _frozen(c_cols)
-        self.c_factors = None if c_cols is None else _frozen(C[np.arange(len(C)), c_cols])
-        self._C = C  # the model's own dense C, read where the gather does not apply
+        c_factors = None if c_cols is None else C[np.arange(len(C)), c_cols]
+        self._hold((A.shape[0], C.shape[0]), rows, cols, A[rows, cols], c_cols, c_factors, C)
+
+    @classmethod
+    def _of(cls, shape, rows, cols, values, c_cols, c_factors) -> "ModelEntries":
+        """The given fields of a model of shape (states, outputs), which has no dense C yet."""
+        entries = cls.__new__(cls)
+        entries._hold(shape, rows, cols, values, c_cols, c_factors, None)
+        return entries
+
+    def _hold(self, shape, rows, cols, values, c_cols, c_factors, C):
+        self._shape = shape  # (states, outputs)
+        self.rows, self.cols, self.values = _frozen(rows), _frozen(cols), _frozen(values)
+        self.c_cols, self.c_factors = _frozen(c_cols), _frozen(c_factors)
+        # the model's own dense C, read where the gather does not apply; None
+        # until _dense_c makes it from the gather
+        self._C = C
+
+    def _dense_a(self) -> np.ndarray:
+        """A new dense A holding the entries."""
+        n = self._shape[0]
+        A = np.zeros((n, n))
+        A[self.rows, self.cols] = self.values
+        return A
+
+    def _dense_c(self) -> np.ndarray:
+        """The dense C, made from the gather on first use."""
+        if self._C is None:
+            n, p = self._shape
+            self._C = np.zeros((p, n))
+            if self.c_cols is not None:
+                self._C[np.arange(p), self.c_cols] = self.c_factors
+        return self._C
 
     def outputs(self, X: np.ndarray) -> np.ndarray:
         """X @ C.T for states X on the last axis, bit for bit.
@@ -255,7 +329,7 @@ class ModelEntries:
         dense product, as there 0 * inf gives nan where the gather skips it.
         """
         if self.c_cols is None or not np.all(np.isfinite(X)):
-            return X @ self._C.T
+            return X @ self._dense_c().T
         return 0.0 + X[..., self.c_cols] * self.c_factors
 
 
@@ -270,9 +344,13 @@ def _frozen(a):
 
 def label_index(labels, what: str) -> dict:
     """Rendered label -> position; ConfigurationError if two labels render alike."""
-    index = {str(lab): i for i, lab in enumerate(labels)}
-    if len(index) != len(labels):
-        rendered = [str(lab) for lab in labels]
+    return _rendered_index([str(lab) for lab in labels], what)
+
+
+def _rendered_index(rendered, what: str) -> dict:
+    """Rendered label -> position; ConfigurationError if two are alike."""
+    index = {text: i for i, text in enumerate(rendered)}
+    if len(index) != len(rendered):
         raise ConfigurationError(f"duplicate {what} labels: {rendered}")
     return index
 

@@ -22,7 +22,10 @@ def haaland_lambda(eps: float, d: float, Re: float) -> float:
         raise DomainError("Reynolds number must be strictly positive")
     if eps < 0.0:
         raise DomainError("roughness must be nonnegative")
-    arg = (eps / (3.7 * d)) ** 1.11 + 6.9 / Re
+    try:
+        arg = (eps / (3.7 * d)) ** 1.11 + 6.9 / Re
+    except OverflowError:  # float ** raises where it leaves the float range
+        raise DomainError("invalid friction regime") from None
     if not arg > 0.0:
         raise DomainError("invalid friction regime")
     inv_sqrt = -1.8 * math.log10(arg)

@@ -706,11 +706,12 @@ class CompiledNetwork:
         return NetworkSteadyState(ops, spread.unmet_at(0))
 
     def fill_spread(self, spread: Spread) -> np.ndarray:
-        """The (K, n, n) stack of the closed network's A at every lane of spread (see _fill).
+        """The (K, n, n) stack of the closed network's A at every lane of spread (see _table).
 
         B, C and D are not scattered: a gain sweep reads only A.
         """
-        return self._fill(spread.q, spread.p_l.T, spread.gains, matrices=1)[0]
+        return self._closure[3].fill(self._table(spread.q, spread.p_l.T), spread.gains,
+                                     matrices=1)[0]
 
     def members_at(self, ops=None):
         """Per element: its declaration, the (params, op) of its member pipes, and
@@ -768,8 +769,8 @@ class CompiledNetwork:
         """The pipes' linearization constants as arrays, in pipe_ids order."""
         return IsoTable([self.params[pid] for pid in self.pipe_ids], self.spec.gas)
 
-    def _fill(self, q, p_l, gains, matrices: int = 4, declared: bool = False):
-        """NodeRule.fill at pipe flows q, (K, P) inlet pressures p_l and (K, n_gains) checked gains.
+    def _table(self, q, p_l, declared: bool = False):
+        """The (K, 4 P) pipe table of NodeRule at pipe flows q and (K, P) inlet pressures p_l.
 
         First checks each composite as make_* would, in declaration order:
         at the declared nominal its members' exit pressures (_exit_pressure),
@@ -785,24 +786,25 @@ class CompiledNetwork:
             check_flows(kind, q[pipes])
             if declared and all(row[2] for row in rows):
                 _check_junctions(kind, q[pipes], [row[1] for row in rows], p_r)
-        return self._closure[3].fill(self._iso.at(q, p_l), gains, matrices)
+        return self._iso.at(q, p_l)
 
     def model(self, ops=None, gains=None) -> StateSpaceModel:
         """The closed network model at ops and gains (default: declared nominals and gains).
 
-        Checks every k first, as spread does, then fills one lane (_fill).
+        Checks every k first, as spread does, then the pipes (_table), and
+        takes the node rule's model of one lane: it holds A and C as the
+        fill's entries and makes them dense on first read (NodeRule.model).
         Equals close(*elaborate(spec, steady)) with the inputs named, where
         steady carries ops.
         """
-        states, inputs, outputs, _ = self._closure
+        states, inputs, outputs, rule = self._closure
         gains = self.gains if gains is None else gains
         for k in gains:
             check_gain(k)
         points = (self._resolved[3] if ops is None
                   else [(ops[pid].q_ss, ops[pid].p_l_ss) for pid in self.pipe_ids])
-        A, B, C, D, _ = self._fill([p[0] for p in points], [[p[1] for p in points]], [gains],
-                                   declared=ops is None)
-        return StateSpaceModel(A[0], B[0], C[0], D[0], states, inputs, outputs)
+        coef = self._table([p[0] for p in points], [[p[1] for p in points]], ops is None)
+        return rule.model(coef, [gains], states, inputs, outputs)
 
 
 def network_steady_state(spec: NetworkSpec) -> NetworkSteadyState:
@@ -879,9 +881,10 @@ def build_closed(spec: NetworkSpec, steady: NetworkSteadyState | None = None):
 
     Compiles the network and fills it once (CompiledNetwork.model): the
     node rule over the whole graph, with no per-element models. The model
-    equals close(*elaborate(spec, steady)) with the inputs named. With
-    steady every pipe is linearized at steady.ops, else at its declared
-    nominal (see build_elements).
+    holds A and C as the fill's entries and makes them dense on first
+    read. It equals close(*elaborate(spec, steady)) with the inputs
+    named. With steady every pipe is linearized at steady.ops, else at
+    its declared nominal (see build_elements).
     """
     return CompiledNetwork(spec).model(None if steady is None else steady.ops)
 

@@ -97,6 +97,14 @@ def test_malformed_file_exit_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_friction_out_of_float_range_exit_one(tmp_path, capsys):
+    path = tmp_path / "rough.pipenet"
+    path.write_text("gas Rs=518.28 z0=0.95 T0=300\npipe P L=10 d=0.7 eps=1e300 Re=1e5\n"
+                    "nominal * pl=25e5 q=21\ninput up = P.l\ninput uq = P.r\n")
+    assert run(["build", str(path)]) == 1
+    assert capsys.readouterr().err == "error: invalid friction regime\n"
+
+
 def test_missing_file_exit_one(capsys):
     assert run(["build", "/nonexistent/x.pipenet"]) == 1
 

@@ -41,6 +41,13 @@ def test_domain_errors(eps, d, Re):
         friction.haaland_lambda(eps, d, Re)
 
 
+@pytest.mark.parametrize("eps,d", [(1.0, 1e-300), (1e300, 1.0)])
+def test_relative_roughness_out_of_float_range(eps, d):
+    # (eps / (3.7 d)) ** 1.11 overflows
+    with pytest.raises(DomainError, match="invalid friction regime"):
+        friction.haaland_lambda(eps, d, 1e5)
+
+
 def test_resolve_explicit_lambda_precedence():
     params = pn.PipeParams(L=10.0, d=0.7, eps=1e-4, lam=0.02)
     out = friction.resolve_lambda(params, Re=1e8)
