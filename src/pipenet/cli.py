@@ -11,6 +11,12 @@ numpy arithmetic, which decides the digits of most cells and hands the
 rest (nan, inf, near-ties of the rounding, exponents beyond +-290) to
 "%" cell by cell; each block is written as soon as it is made. Smaller
 tables, and every table at p >= 15, are printed with one "%" per row.
+
+`sim` prints its rows as the simulation makes them (simulate.lti_rows),
+a block at a time, so its memory does not grow with --T beyond the time
+and input arrays. Every error, including a malformed --inputs file, is
+raised before the first byte is written: a failed `sim` writes nothing
+and creates no -o file.
 """
 
 from __future__ import annotations
@@ -140,13 +146,11 @@ def cmd_sim(args) -> int:
         raise ConfigurationError(
             f"--T / --dt gives {steps:.6g} steps, too many to allocate") from None
     if args.inputs:
-        data = np.genfromtxt(args.inputs, delimiter=",", names=True)
-        names = data.dtype.names
-        cols = {name: np.atleast_1d(data[name]) for name in names}
+        names, data = _read_inputs(args.inputs)
         for i, lab in enumerate(model.input_labels):
-            if str(lab) not in cols:
+            if str(lab) not in names:
                 raise PipenetError(f"inputs file missing channel {lab}")
-            col = cols[str(lab)]
+            col = data[:, names.index(str(lab))]
             if len(col) == 1:
                 u[:, i] = col[0]
             elif len(col) == n_steps:
@@ -154,10 +158,59 @@ def cmd_sim(args) -> int:
             else:
                 raise PipenetError(
                     f"inputs file rows ({len(col)}) do not match the grid ({n_steps})")
-    ts = simulate.simulate_lti(model, t, u)
-    header = ["t"] + [str(s) for s in ts.labels]
-    _emit(_csv(header, np.column_stack([ts.t, ts.values])), args.output)
+    rows = simulate.lti_rows(model, t, u)  # raises every error before a row is made
+    header = ["t"] + [str(s) for s in model.output_labels]
+    _emit(csvfmt.stream(header, _with_time(t, rows), _precision(), len(t) * len(header)),
+          args.output)
     return 0
+
+
+def _with_time(t, blocks):
+    """Each block of rows with its times in front."""
+    lo = 0
+    for block in blocks:
+        yield np.column_stack([t[lo:lo + len(block)], block])
+        lo += len(block)
+
+
+def _read_inputs(path):
+    """(channel names, (rows, channels) array) of an --inputs CSV file.
+
+    The first line that is not blank names the channels, one per cell; a
+    '#' in front of it is dropped, as np.savetxt writes a header. Every
+    further line holds one number per channel. Blank lines, and text after
+    a '#', are skipped; cells are stripped of spaces. A malformed file is
+    a PipenetError that names the file and the line.
+    """
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError:
+        raise PipenetError(f"inputs file {path} is not UTF-8 text") from None
+    names, rows = None, []
+    for number, line in enumerate(lines, 1):
+        if names is None:
+            line = line.strip().removeprefix("#")
+        cells = [cell.strip() for cell in line.split("#", 1)[0].split(",")]
+        if cells == [""]:
+            continue
+        if names is None:
+            names = cells
+            for i, name in enumerate(names):
+                if name in names[:i]:
+                    raise PipenetError(f"inputs file {path} names channel {name!r} twice")
+            continue
+        if len(cells) != len(names):
+            raise PipenetError(f"inputs file {path}, line {number}: {len(cells)} cells, "
+                               f"but the header names {len(names)} channels")
+        try:
+            rows.append([float(cell) for cell in cells])
+        except ValueError:
+            raise PipenetError(f"inputs file {path}, line {number}: "
+                               f"not a number in {line.strip()!r}") from None
+    if names is None:
+        raise PipenetError(f"inputs file {path} is empty: expected a header naming the channels")
+    return names, np.array(rows, dtype=float).reshape(len(rows), len(names))
 
 
 def cmd_mason(args) -> int:

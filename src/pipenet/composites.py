@@ -445,9 +445,18 @@ class NodeRule:
         One bincount over the entries' positions then sums a lane's
         duplicates in entry order from 0.0, as a dense scatter sums them.
         Made when a model first makes its entries; fill scatters directly.
+        The same as np.unique(positions, return_inverse=True), by a stable
+        argsort: np.unique's quicksort maps numpy's vectorized sort kernels
+        into the process.
         """
-        flat, slots = np.unique(self._patterns[0][1], return_inverse=True)
-        return (*np.divmod(flat, max(self.shape[0], 1)), slots)
+        positions = self._patterns[0][1]
+        order = np.argsort(positions, kind="stable")
+        ordered = positions[order]
+        first = np.ones(len(ordered), dtype=bool)  # the first entry of each position
+        first[1:] = ordered[1:] != ordered[:-1]
+        slots = np.empty(len(order), dtype=np.intp)
+        slots[order] = np.cumsum(first) - 1
+        return (*np.divmod(ordered[first], max(self.shape[0], 1)), slots)
 
     def _values(self, coef, gains, matrices: int):
         """The (K, entries) values of the first `matrices` patterns, in entry order, then delta.

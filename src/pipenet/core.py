@@ -282,12 +282,7 @@ class ModelEntries:
     def __init__(self, A: np.ndarray, C: np.ndarray):
         # np.nonzero(A), row-major; the flat scan of a bool mask is ~10x faster
         rows, cols = np.divmod(np.flatnonzero(A != 0), max(A.shape[1], 1))
-        c_cols = None
-        if C.shape[1]:  # with no states there is nothing to gather
-            nonzero = C != 0
-            if nonzero.sum(axis=1).max(initial=0) <= 1:
-                c_cols = nonzero.argmax(axis=1)
-        c_factors = None if c_cols is None else C[np.arange(len(C)), c_cols]
+        c_cols, c_factors = row_gather(C)
         self._hold((A.shape[0], C.shape[0]), rows, cols, A[rows, cols], c_cols, c_factors, C)
 
     @classmethod
@@ -331,6 +326,23 @@ class ModelEntries:
         if self.c_cols is None or not np.all(np.isfinite(X)):
             return X @ self._dense_c().T
         return 0.0 + X[..., self.c_cols] * self.c_factors
+
+
+def row_gather(M: np.ndarray):
+    """(cols, factors) that apply M as a gather, or (None, None).
+
+    When M has columns and no row of M holds more than one nonzero, row i
+    of M is factors[i] at column cols[i] (an empty row reads column 0,
+    factor 0.0), so 0.0 + X[..., cols] * factors is X @ M.T bit for bit
+    for finite X.
+    """
+    if not M.shape[1]:  # with no columns there is nothing to gather
+        return None, None
+    nonzero = M != 0
+    if nonzero.sum(axis=1).max(initial=0) > 1:
+        return None, None
+    cols = nonzero.argmax(axis=1)
+    return cols, M[np.arange(len(M)), cols]
 
 
 def _frozen(a):

@@ -2,7 +2,9 @@
 
 `table` yields a table's lines as bytes, a block of at most BLOCK_CELLS
 cells at a time, so a caller can write each block as it is made and no
-copy of the whole table exists as text. A table of fewer than CROSSOVER
+copy of the whole table exists as text. `stream` does the same for rows
+that arrive in blocks, so that not even the table's numbers need exist
+at once. A table of fewer than CROSSOVER
 cells, or one printed at p > MAX_FAST_P, takes `rowwise`: one "%" per row,
 which is also the reference the tests compare `block` with.
 
@@ -20,6 +22,7 @@ from "%.pg" % x. ±0 takes the arithmetic path as the digit 0.
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -64,15 +67,26 @@ def table(header, rows: np.ndarray, p: int, labels=None):
     """Yield a CSV table as bytes: the header line, then rowwise(rows, p, labels) in blocks.
 
     header is a sequence of column names; labels, if given, is one text
-    cell per row, printed first. Blocks hold whole rows.
+    cell per row, printed first. Blocks hold whole rows, at most
+    BLOCK_CELLS cells each.
+    """
+    step = max(1, BLOCK_CELLS // max(1, rows.shape[1]))
+    starts = range(0, len(rows), step)
+    return stream(header, (rows[lo:lo + step] for lo in starts), p, rows.size,
+                  None if labels is None else (labels[lo:lo + step] for lo in starts))
+
+
+def stream(header, blocks, p: int, n_cells: int, labels=None):
+    """Yield the CSV table whose rows come from blocks, as table does: the header line, then each block.
+
+    blocks yields 2-D float arrays of whole rows; labels, if given, yields
+    each block's text cells. n_cells, the size of the whole table, picks
+    the path as in table, so the bytes are those of table over the
+    blocks joined.
     """
     yield (",".join(header) + "\n").encode()
-    n_rows, n_cols = rows.shape
-    fast = p <= MAX_FAST_P and rows.size >= CROSSOVER
-    step = max(1, BLOCK_CELLS // max(1, n_cols))
-    for lo in range(0, n_rows, step):
-        part = rows[lo:lo + step]
-        labs = None if labels is None else labels[lo:lo + step]
+    fast = p <= MAX_FAST_P and n_cells >= CROSSOVER
+    for part, labs in zip(blocks, itertools.repeat(None) if labels is None else labels):
         yield block(part, p, labs) if fast else rowwise(part, p, labs).encode()
 
 

@@ -9,6 +9,15 @@ Algorithm for the Matrix Exponential", SIAM J. Matrix Anal. Appl. 31(3),
 2009. Nonlinear models are integrated with fixed-step classical RK4 in
 absolute (not deviation) variables.
 
+A linear simulation is one stepping loop, lti_rows, which yields the
+outputs a block of rows at a time; simulate_lti joins the blocks and the
+CLI prints each block as it comes. Beyond t and u, the memory is then
+that of the exponential (about 11 (n + m)^2 doubles) and of one block,
+whatever the length of the grid. C, and D where each of its rows holds
+at most one nonzero, apply as gathers, elementwise, so the rows do not
+depend on where a block ends; a model of the node rule is stepped from
+its entries and never makes its dense A or C.
+
 The discretized matrices hold no subnormal numbers: every entry of the
 matrix exponential below the smallest normal float (2.2e-308) is set to
 zero. A subnormal carries fewer than 53 significant bits, so its printed
@@ -32,7 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import csvfmt
-from .core import GasProperties, PipeParams, StateSpaceModel
+from .core import GasProperties, PipeParams, StateSpaceModel, row_gather
 from .errors import ConfigurationError, NumericalError
 from .pipe_dynamics import rhs_2d, rhs_3d
 
@@ -207,7 +216,11 @@ def zoh_discretize(model: StateSpaceModel, dt: float) -> tuple[np.ndarray, np.nd
         raise ConfigurationError("time step must be positive and finite")
     n, m = model.n_states, model.n_inputs
     aug = np.zeros((n + m, n + m))
-    aug[:n, :n] = model.A
+    if "A" in vars(model):  # a dense A, given or already read
+        aug[:n, :n] = model.A
+    else:  # a model of the node rule: its entries, which a dense A is made from
+        entries = model.entries
+        aug[entries.rows, entries.cols] = entries.values
     aug[:n, n:] = model.B
     aug *= dt
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below
@@ -238,32 +251,63 @@ def simulate_lti(model: StateSpaceModel, t: np.ndarray, u, x0=None) -> TimeSerie
 
     u may be a constant vector (held for all time) or an array of shape
     (len(t), n_inputs) sampled at the grid points; u and x0 must be
-    finite. Returns the outputs.
+    finite. Returns the outputs: the rows of lti_rows, joined.
+    """
+    Y = np.concatenate(list(lti_rows(model, t, u, x0)))
+    return TimeSeries(np.asarray(t, dtype=float), Y, tuple(str(s) for s in model.output_labels))
+
+
+def lti_rows(model: StateSpaceModel, t: np.ndarray, u, x0=None):
+    """The outputs of simulate_lti as an iterator over blocks of rows, in time order.
+
+    The arguments are checked and the model discretized when lti_rows is
+    called, so every error is raised before the first row is made. Each
+    block is a (rows, n_outputs) array; a block holds at most
+    csvfmt.BLOCK_CELLS cells of states and of outputs with their time, so
+    the memory beyond t and u does not grow with len(t).
+    Each step is x_{k+1} = Ad x_k + Bd u_k; C applies as a gather
+    (ModelEntries.outputs) and so does D when no row of D holds more than
+    one nonzero, so a block's rows equal, bit for bit, those of the whole
+    products X @ C.T + u @ D.T.
     """
     t = np.asarray(t, dtype=float)
     if len(t) < 2:
         raise ConfigurationError("need at least two time points")
-    dts = np.diff(t)
-    if not np.allclose(dts, dts[0], rtol=1e-9, atol=0.0):
+    n, p = model.n_states, model.n_outputs
+    height = max(1, csvfmt.BLOCK_CELLS // max(n, 1 + p))
+    starts = range(0, len(t), height)  # the checks go block by block too: no temporary spans t
+    dt = t[1] - t[0]
+    if not all(np.allclose(np.diff(t[lo:lo + height + 1]), dt, rtol=1e-9, atol=0.0)
+               for lo in starts):
         raise ConfigurationError("time grid must be uniform")
     u = _input_array(u, len(t), model.n_inputs)
-    if not np.all(np.isfinite(u)):
+    if not all(np.isfinite(u[lo:lo + height]).all() for lo in starts):
         raise ConfigurationError("inputs must be finite")
     if x0 is None:
-        x0 = np.zeros(model.n_states)
+        x0 = np.zeros(n)
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (model.n_states,):
+    if x0.shape != (n,):
         raise ConfigurationError("bad initial state dimension")
     if not np.all(np.isfinite(x0)):
         raise ConfigurationError("initial state must be finite")
+    Ad, Bd = zoh_discretize(model, float(dt))
+    d_cols, d_factors = row_gather(model.D)
 
-    Ad, Bd = zoh_discretize(model, float(dts[0]))
-    X = np.empty((len(t), model.n_states))
-    X[0] = x0
-    for k in range(len(t) - 1):
-        X[k + 1] = Ad @ X[k] + Bd @ u[k]
-    Y = X @ model.C.T + u @ model.D.T
-    return TimeSeries(t, Y, tuple(str(s) for s in model.output_labels))
+    def feedthrough(U):  # U @ D.T, bit for bit for the finite U
+        return U @ model.D.T if d_cols is None else 0.0 + U[:, d_cols] * d_factors
+
+    def blocks(x):
+        X = np.empty((min(height, len(t)), n))
+        for lo in starts:
+            Xb = X[:len(t) - lo]
+            Xb[0] = x
+            for i in range(len(Xb) - 1):
+                Xb[i + 1] = Ad @ Xb[i] + Bd @ u[lo + i]
+            if lo + height < len(t):  # the next block's first state
+                x = Ad @ Xb[-1] + Bd @ u[lo + height - 1]
+            yield model.entries.outputs(Xb) + feedthrough(u[lo:lo + height])
+
+    return blocks(x0)
 
 
 def simulate_nonlinear(rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],

@@ -248,3 +248,57 @@ def test_eig_loads_numpy_only():
     out = subprocess.run([sys.executable, "-c", code, demo], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True).stdout
     assert out.strip() == "0 20 []"  # the header and the 19 eigenvalues
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", " is empty: expected a header naming the channels"),
+    ("fill,dist,vent\n1,1\n", ", line 2: 2 cells, but the header names 3 channels"),
+    ("fill;dist;vent\n1;1;1\n", ", line 2: not a number in '1;1;1'"),
+    ("fill,fill,dist,vent\n1,2,3,4\n", " names channel 'fill' twice"),
+], ids=["empty", "short_row", "semicolons", "channel_twice"])
+def test_sim_malformed_inputs_file_exit_one(loop_file, tmp_path, capsys, text, message):
+    inputs = tmp_path / "u.csv"
+    inputs.write_text(text)
+    assert run(["sim", loop_file, "--dt", "0.01", "--T", "0.1", "--inputs", str(inputs)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: inputs file {inputs}{message}\n"
+    assert captured.out == ""
+
+
+def test_sim_inputs_file_as_np_savetxt_writes_it(loop_file, tmp_path, capsys):
+    # a "# " header, spaces around cells, CRLF, blank lines and comments are read as before
+    inputs = tmp_path / "u.csv"
+    np.savetxt(inputs, [[1.0, 2.0, 3.0]], delimiter=",", header="fill, dist, vent")
+    assert run(["sim", loop_file, "--dt", "0.01", "--T", "0.1", "--inputs", str(inputs)]) == 0
+    held = capsys.readouterr().out
+    inputs.write_text("fill , dist,vent\r\n\n1,2,3  # held\n")
+    assert run(["sim", loop_file, "--dt", "0.01", "--T", "0.1", "--inputs", str(inputs)]) == 0
+    assert capsys.readouterr().out == held
+
+
+@pytest.mark.parametrize("args, inputs", [
+    (["--dt", "0", "--T", "1"], None),
+    (["--dt", "1e-12", "--T", "1e12"], None),
+    (["--dt", "1e200", "--T", "1e200"], None),
+    (["--dt", "1e12", "--T", "2e12"], None),
+    (["--dt", "0.01", "--T", "0.1"], "fill,dist,vent\n0,nan,0\n"),
+    (["--dt", "0.01", "--T", "0.1"], "fill,dist\n0,0\n"),
+    (["--dt", "0.01", "--T", "0.1"], "fill,dist,vent\n0,0,0\n1,1,1\n"),
+    (["--dt", "0.01", "--T", "0.1"], "fill,dist,vent\n1,1\n"),
+    (["--dt", "0.01", "--T", "0.1"], "missing"),
+], ids=["bad_dt", "grid_too_large", "overflow", "squarings", "nonfinite_input",
+        "missing_channel", "rows_off_grid", "short_row", "no_inputs_file"])
+def test_sim_error_writes_nothing(loop_file, tmp_path, capsys, args, inputs):
+    out = tmp_path / "y.csv"
+    argv = ["sim", loop_file, *args]
+    if inputs is not None:
+        path = tmp_path / "u.csv"
+        if inputs != "missing":
+            path.write_text(inputs)
+        argv += ["--inputs", str(path)]
+    assert run(argv + ["-o", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().out == ""
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")

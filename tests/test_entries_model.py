@@ -142,3 +142,13 @@ def test_duplicate_label_texts_are_kept():
                        match=r"duplicate output labels: \['P.l.q', 'P.l.q'\]"):
         core.StateSpaceModel(A, B, C, D, ("x0", "x1"), ("u",),
                              (lab, core.SignalLabel.parse("P.l.q")))
+
+
+def test_positions_equal_np_unique(specs):
+    # the stable argsort gives np.unique's distinct positions and inverse
+    for spec in specs:
+        rule = netspec.CompiledNetwork(spec)._closure[3]
+        flat, slots = np.unique(rule._patterns[0][1], return_inverse=True)
+        rows, cols, got_slots = rule._positions
+        assert same_bits(rows * max(rule.shape[0], 1) + cols, flat)
+        assert same_bits(got_slots, slots.astype(np.intp))
