@@ -13,10 +13,12 @@ rest (nan, inf, near-ties of the rounding, exponents beyond +-290) to
 tables, and every table at p >= 15, are printed with one "%" per row.
 
 `sim` prints its rows as the simulation makes them (simulate.lti_rows),
-a block at a time, so its memory does not grow with --T beyond the time
-and input arrays. Every error, including a malformed --inputs file, is
-raised before the first byte is written: a failed `sim` writes nothing
-and creates no -o file.
+a block at a time. It passes the --inputs file on as the file holds it:
+one row, which simulate holds for every step, or one row per time
+point. So only the time array, and a time-varying input file, grow with
+--T. Every error, including a malformed --inputs file, is raised before
+the first byte is written: a failed `sim` writes nothing and creates no
+-o file.
 """
 
 from __future__ import annotations
@@ -64,12 +66,11 @@ def _csv(header, rows, labels=None):
 
 
 def _load_closed(path):
-    spec = netspec.load(path)
-    return spec, netspec.build_closed(spec)
+    return netspec.build_closed(netspec.load(path))
 
 
 def cmd_build(args) -> int:
-    spec, model = _load_closed(args.file)
+    model = _load_closed(args.file)
     if args.select:
         labels = args.select.split(",")
         model = select_outputs(model, labels)
@@ -91,7 +92,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_dcgain(args) -> int:
-    spec, model = _load_closed(args.file)
+    model = _load_closed(args.file)
     u_labels = [str(s) for s in model.input_labels]
     if args.flows_only:
         # composite outputs hide interior flows; read them off the states
@@ -105,7 +106,7 @@ def cmd_dcgain(args) -> int:
 
 
 def cmd_eig(args) -> int:
-    spec, model = _load_closed(args.file)
+    model = _load_closed(args.file)
     eigs = np.array(sorted(analysis.eigenvalues(model), key=lambda z: (z.real, z.imag)))
     _emit(_csv(["re", "im"], np.column_stack([eigs.real, eigs.imag])), args.output)
     return 0
@@ -116,7 +117,7 @@ def _omega_grid(args):
 
 
 def cmd_bode(args) -> int:
-    spec, model = _load_closed(args.file)
+    model = _load_closed(args.file)
     omegas = _omega_grid(args)
     fr = analysis.freq_response(model, omegas)
     ins = [str(s) for s in model.input_labels]
@@ -136,28 +137,27 @@ def cmd_sim(args) -> int:
     for name, value in (("--dt", args.dt), ("--T", args.T)):
         if not 0.0 < value < math.inf:
             raise ConfigurationError(f"{name} must be a positive finite number, got {value}")
-    spec, model = _load_closed(args.file)
+    model = _load_closed(args.file)
     steps = args.T / args.dt
     try:
-        n_steps = int(round(steps)) + 1
-        t = np.arange(n_steps) * args.dt
-        u = np.zeros((n_steps, model.n_inputs))
+        t = np.arange(int(round(steps)) + 1, dtype=float)
     except (OverflowError, ValueError, MemoryError):
         raise ConfigurationError(
             f"--T / --dt gives {steps:.6g} steps, too many to allocate") from None
-    if args.inputs:
+    t *= args.dt
+    u = np.zeros(model.n_inputs)
+    if args.inputs:  # the file's columns in the model's input order, held as the file holds them
         names, data = _read_inputs(args.inputs)
-        for i, lab in enumerate(model.input_labels):
-            if str(lab) not in names:
+        cols = []
+        for lab in map(str, model.input_labels):
+            if lab not in names:
                 raise PipenetError(f"inputs file missing channel {lab}")
-            col = data[:, names.index(str(lab))]
-            if len(col) == 1:
-                u[:, i] = col[0]
-            elif len(col) == n_steps:
-                u[:, i] = col
-            else:
+            if len(data) not in (1, len(t)):
                 raise PipenetError(
-                    f"inputs file rows ({len(col)}) do not match the grid ({n_steps})")
+                    f"inputs file rows ({len(data)}) do not match the grid ({len(t)})")
+            cols.append(names.index(lab))
+        if cols:
+            u = data[0, cols] if len(data) == 1 else data[:, cols]
     rows = simulate.lti_rows(model, t, u)  # raises every error before a row is made
     header = ["t"] + [str(s) for s in model.output_labels]
     _emit(csvfmt.stream(header, _with_time(t, rows), _precision(), len(t) * len(header)),
@@ -182,12 +182,14 @@ def _read_inputs(path):
     a '#', are skipped; cells are stripped of spaces. A malformed file is
     a PipenetError that names the file and the line.
     """
+    from array import array  # imported here, so that importing the cli loads no more modules
+
     try:
         with open(path, encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     except UnicodeDecodeError:
         raise PipenetError(f"inputs file {path} is not UTF-8 text") from None
-    names, rows = None, []
+    names, values = None, array("d")  # every number, row after row: 8 bytes each
     for number, line in enumerate(lines, 1):
         if names is None:
             line = line.strip().removeprefix("#")
@@ -204,13 +206,13 @@ def _read_inputs(path):
             raise PipenetError(f"inputs file {path}, line {number}: {len(cells)} cells, "
                                f"but the header names {len(names)} channels")
         try:
-            rows.append([float(cell) for cell in cells])
+            values.extend(map(float, cells))
         except ValueError:
             raise PipenetError(f"inputs file {path}, line {number}: "
                                f"not a number in {line.strip()!r}") from None
     if names is None:
         raise PipenetError(f"inputs file {path} is empty: expected a header naming the channels")
-    return names, np.array(rows, dtype=float).reshape(len(rows), len(names))
+    return names, np.frombuffer(values).reshape(-1, len(names))
 
 
 def cmd_mason(args) -> int:

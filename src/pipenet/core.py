@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Union
 
 import numpy as np
 
@@ -142,9 +141,6 @@ class SignalLabel:
         if len(parts) != 3:
             raise ConfigurationError(f"malformed signal label {text!r}; expected <element>.<l|r>.<p|q|T>")
         return cls(parts[0], parts[1], parts[2])
-
-
-Label = Union[SignalLabel, str]
 
 
 @dataclass(frozen=True)

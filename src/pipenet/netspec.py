@@ -852,14 +852,15 @@ def build_elements(spec: NetworkSpec,
     out = []
     ops = None if steady is None else steady.ops
     for el, pipes, check in CompiledNetwork(spec).members_at(ops):
-        make = globals()["make_" + el.kind]  # by name at each call, so a wrapper of it is used
         if el.kind == "gain":
-            out.append(make(el.k, el.name))
+            out.append(make_gain(el.k, el.name))
         elif el.kind == "pipe":
-            out.append(make(*pipes[0], spec.gas, el.name))
-        else:  # make_series takes its pipes as one list, make_joint and make_branch as three
-            args = (pipes,) if el.kind == "series" else pipes
-            out.append(make(*args, spec.gas, member_ids=el.members, check_nominal=check))
+            out.append(make_pipe(*pipes[0], spec.gas, el.name))
+        elif el.kind == "series":  # its pipes as one list; a joint's and a branch's as three
+            out.append(make_series(pipes, spec.gas, member_ids=el.members, check_nominal=check))
+        else:
+            make = make_joint if el.kind == "joint" else make_branch
+            out.append(make(*pipes, spec.gas, member_ids=el.members, check_nominal=check))
     return out
 
 

@@ -11,12 +11,14 @@ absolute (not deviation) variables.
 
 A linear simulation is one stepping loop, lti_rows, which yields the
 outputs a block of rows at a time; simulate_lti joins the blocks and the
-CLI prints each block as it comes. Beyond t and u, the memory is then
-that of the exponential (about 11 (n + m)^2 doubles) and of one block,
-whatever the length of the grid. C, and D where each of its rows holds
-at most one nonzero, apply as gathers, elementwise, so the rows do not
-depend on where a block ends; a model of the node rule is stepped from
-its entries and never makes its dense A or C.
+CLI prints each block as it comes. A held input (a 1-D u) stays one
+row: _input_array, which every simulation here reads its inputs through,
+repeats it as a read-only view. Beyond t and a time-varying u, the
+memory is then that of the exponential (about 11 (n + m)^2 doubles) and
+of one block, whatever the length of the grid. C, and D where each of
+its rows holds at most one nonzero, apply as gathers, elementwise, so
+the rows do not depend on where a block ends; a model of the node rule
+is stepped from its entries and never makes its dense A or C.
 
 The discretized matrices hold no subnormal numbers: every entry of the
 matrix exponential below the smallest normal float (2.2e-308) is set to
@@ -237,9 +239,10 @@ def zoh_discretize(model: StateSpaceModel, dt: float) -> tuple[np.ndarray, np.nd
 
 
 def _input_array(u, n_steps: int, n_inputs: int) -> np.ndarray:
+    """u as an (n_steps, n_inputs) array; a 1-D u is held, as a read-only view of its one row."""
     u = np.asarray(u, dtype=float)
     if u.ndim == 1:
-        u = np.tile(u, (n_steps, 1))
+        u = np.broadcast_to(u, (n_steps, len(u)))
     if u.shape != (n_steps, n_inputs):
         raise ConfigurationError(
             f"input array must have shape ({n_steps}, {n_inputs}), got {u.shape}")
@@ -249,9 +252,10 @@ def _input_array(u, n_steps: int, n_inputs: int) -> np.ndarray:
 def simulate_lti(model: StateSpaceModel, t: np.ndarray, u, x0=None) -> TimeSeries:
     """Simulate an LTI model on a uniform time grid with ZOH inputs.
 
-    u may be a constant vector (held for all time) or an array of shape
-    (len(t), n_inputs) sampled at the grid points; u and x0 must be
-    finite. Returns the outputs: the rows of lti_rows, joined.
+    u may be a constant vector (held for all time, and stored as its one
+    row) or an array of shape (len(t), n_inputs) sampled at the grid
+    points; u and x0 must be finite. Returns the outputs: the rows of
+    lti_rows, joined.
     """
     Y = np.concatenate(list(lti_rows(model, t, u, x0)))
     return TimeSeries(np.asarray(t, dtype=float), Y, tuple(str(s) for s in model.output_labels))
@@ -264,7 +268,8 @@ def lti_rows(model: StateSpaceModel, t: np.ndarray, u, x0=None):
     called, so every error is raised before the first row is made. Each
     block is a (rows, n_outputs) array; a block holds at most
     csvfmt.BLOCK_CELLS cells of states and of outputs with their time, so
-    the memory beyond t and u does not grow with len(t).
+    the memory beyond t and a time-varying u does not grow with len(t); a
+    held u is one row.
     Each step is x_{k+1} = Ad x_k + Bd u_k; C applies as a gather
     (ModelEntries.outputs) and so does D when no row of D holds more than
     one nonzero, so a block's rows equal, bit for bit, those of the whole
@@ -294,7 +299,9 @@ def lti_rows(model: StateSpaceModel, t: np.ndarray, u, x0=None):
     d_cols, d_factors = row_gather(model.D)
 
     def feedthrough(U):  # U @ D.T, bit for bit for the finite U
-        return U @ model.D.T if d_cols is None else 0.0 + U[:, d_cols] * d_factors
+        if d_cols is None:  # a held u's block repeats one row (stride 0): lay it out for BLAS
+            return np.ascontiguousarray(U) @ model.D.T
+        return 0.0 + U[:, d_cols] * d_factors
 
     def blocks(x):
         X = np.empty((min(height, len(t)), n))

@@ -1,11 +1,12 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pipenet import cli
+from pipenet import cli, csvfmt
 
 from conftest import LOOP_TEXT
 from test_build_errors import GAIN_BETWEEN
@@ -286,8 +287,11 @@ def test_sim_inputs_file_as_np_savetxt_writes_it(loop_file, tmp_path, capsys):
     (["--dt", "0.01", "--T", "0.1"], "fill,dist,vent\n0,0,0\n1,1,1\n"),
     (["--dt", "0.01", "--T", "0.1"], "fill,dist,vent\n1,1\n"),
     (["--dt", "0.01", "--T", "0.1"], "missing"),
+    (["--dt", "0.01", "--T", "0.1"], "fill,dist,vent\n"),
+    (["--dt", "0.01", "--T", "0.1"], "fill,dist\n0,0\n1,1\n"),
 ], ids=["bad_dt", "grid_too_large", "overflow", "squarings", "nonfinite_input",
-        "missing_channel", "rows_off_grid", "short_row", "no_inputs_file"])
+        "missing_channel", "rows_off_grid", "short_row", "no_inputs_file", "header_only",
+        "rows_off_grid_and_missing_channel"])
 def test_sim_error_writes_nothing(loop_file, tmp_path, capsys, args, inputs):
     out = tmp_path / "y.csv"
     argv = ["sim", loop_file, *args]
@@ -302,3 +306,76 @@ def test_sim_error_writes_nothing(loop_file, tmp_path, capsys, args, inputs):
     assert run(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("fill,dist,vent\n", "rows (0) do not match the grid (11)"),
+    ("fill,dist\n0,0\n1,1\n", "rows (2) do not match the grid (11)"),
+    ("dist,vent\n0,0\n1,1\n", "missing channel fill"),
+], ids=["header_only", "rows_before_a_later_missing_channel", "first_channel_missing"])
+def test_sim_inputs_fault_of_the_first_input_is_reported(loop_file, tmp_path, capsys, text,
+                                                          message):
+    # the model's first input, fill, decides between its missing channel and the row count
+    inputs = tmp_path / "u.csv"
+    inputs.write_text(text)
+    assert run(["sim", loop_file, "--dt", "0.01", "--T", "0.1", "--inputs", str(inputs)]) == 1
+    assert capsys.readouterr().err == f"error: inputs file {message}\n"
+
+
+def test_sim_without_inputs_reads_no_rows(tmp_path, capsys):
+    # a ring of two pipes has no inputs, so the file's rows are not checked against the grid
+    net = tmp_path / "ring.pipenet"
+    net.write_text("gas Rs=518.28 z0=0.95 T0=300\n"
+                   "pipe P1 L=10 d=0.7 eps=4.57e-5 Re=1.168e8\n"
+                   "pipe P2 L=10 d=0.7 eps=4.57e-5 Re=1.168e8\n"
+                   "nominal * pl=25e5 q=21\n"
+                   "link P1.r P2.l\nlink P2.r P1.l\n")
+    inputs = tmp_path / "u.csv"
+    inputs.write_text("a\n1\n2\n")
+    assert run(["sim", str(net), "--dt", "0.1", "--T", "1", "--inputs", str(inputs)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "1,0,0,0,0"
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sim_held_inputs_memory_grows_by_t_alone(loop_file, tmp_path, monkeypatch):
+    # a held --inputs row stays one row: a run 10x longer holds a larger t
+    # (8 bytes per step) and nothing else that grows with the grid
+    monkeypatch.setattr(csvfmt, "BLOCK_CELLS", 1024)
+    inputs = tmp_path / "u.csv"
+    inputs.write_text("vent,fill,dist\n3,1,2\n")
+    out = str(tmp_path / "y.csv")
+
+    def peak(steps):
+        argv = ["sim", loop_file, "--dt", "0.05", "--T", repr(steps * 0.05),
+                "--inputs", str(inputs), "-o", out]
+        return _traced_peak(lambda: run(argv))
+
+    peak(100)  # caches made on first use
+    short, long = peak(2000), peak(20000)
+    assert long - short <= 18000 * 8 + 32 * 1024, (short, long)
+
+
+def test_read_inputs_holds_eight_bytes_per_value(tmp_path):
+    # beyond the file's lines, which are read whole first, the numbers are
+    # held flat: 8 bytes each, and an array's growth margin
+    rows = 20000
+    path = tmp_path / "u.csv"
+    path.write_text("fill,dist,vent\n" + "1,2,3\n" * rows)
+
+    def lines():
+        with open(path, encoding="utf-8-sig") as fh:
+            return fh.read().splitlines()
+
+    extra = _traced_peak(lambda: cli._read_inputs(str(path))) - _traced_peak(lines)
+    assert extra <= 1.25 * 8 * 3 * rows + 32 * 1024, extra
+    names, data = cli._read_inputs(str(path))
+    assert names == ["fill", "dist", "vent"]
+    assert data.shape == (rows, 3) and (data == [1.0, 2.0, 3.0]).all()

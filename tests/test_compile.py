@@ -1,8 +1,8 @@
 """The build path compiles on integers and equals the label route it replaced.
 
 CompiledNetwork._closure wires each input by port offset and places the
-node rule's entries from one template per element kind and size; _fill
-takes the pipe coefficients from the pipe table. Each must give what the
+node rule's entries from one template per element kind and size; _table
+takes the pipe coefficients from IsoTable. Each must give what the
 label route gives: interconnect._drivers over rendered labels,
 composites.element_signals' labels and composites.coefficient_row's
 coefficients, bit for bit.

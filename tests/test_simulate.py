@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import pipenet as pn
-from pipenet import analysis, pipe_dynamics, simulate
+from pipenet import analysis, csvfmt, pipe_dynamics, simulate
+from pipenet.core import row_gather
 from pipenet.errors import ConfigurationError, NumericalError
 
 from conftest import chain_text, mesh_text
@@ -233,3 +234,43 @@ def test_pipe_rhs_3d_is_rhs_3d(gas, ref_lambda):
         got = rhs(np.array(x), np.array(u))
         assert isinstance(got, np.ndarray) and got.shape == (3,)
         assert got.tobytes() == np.asarray(ref, dtype=float).tobytes()
+
+
+def dense_feedthrough_model(n, m, p, rng):
+    """A stable hand-built model whose every D row holds m > 1 nonzeros (no gather applies)."""
+    A = rng.normal(size=(n, n)) - 2.0 * np.sqrt(n) * np.eye(n)
+    model = pn.StateSpaceModel(A, rng.normal(size=(n, m)), rng.normal(size=(p, n)),
+                               rng.uniform(0.5, 2.0, (p, m)), [f"x{i}" for i in range(n)],
+                               [f"u{i}" for i in range(m)], [f"y{i}" for i in range(p)])
+    assert row_gather(model.D)[0] is None  # lti_rows takes the dense product U @ D.T
+    return model
+
+
+@pytest.mark.parametrize("n, m, p", [(3, 2, 2), (40, 3, 5)])
+def test_held_input_equals_its_tiled_grid(n, m, p):
+    # a 1-D u is held as one row; its outputs equal, bit for bit, those of the
+    # same row repeated on every step, on grids that end around the blocks' ends
+    rng = np.random.default_rng(n)
+    model = dense_feedthrough_model(n, m, p, rng)
+    height = csvfmt.BLOCK_CELLS // max(n, 1 + p)
+    for rows in (2, height, height + 1, 2 * height + 1):
+        t = np.arange(rows) * 0.05
+        u, x0 = rng.uniform(-2.0, 2.0, m), rng.uniform(-1.0, 1.0, n)
+        held = simulate.simulate_lti(model, t, u, x0).values
+        tiled = simulate.simulate_lti(model, t, np.tile(u, (rows, 1)), x0).values
+        assert held.tobytes() == tiled.tobytes(), rows
+
+        def rhs(x, uk):
+            return model.A @ x + model.B @ uk
+
+        held = simulate.simulate_nonlinear(rhs, t, u, x0, model.state_labels).values
+        tiled = simulate.simulate_nonlinear(rhs, t, np.tile(u, (rows, 1)), x0,
+                                            model.state_labels).values
+        assert held.tobytes() == tiled.tobytes(), rows
+
+
+def test_held_input_is_one_row_read_only():
+    u = simulate._input_array([1.0, 2.0], 10 ** 6, 2)
+    assert u.shape == (10 ** 6, 2) and u.strides[0] == 0 and not u.flags.writeable
+    with pytest.raises(ConfigurationError, match=r"shape \(5, 3\), got \(5, 2\)"):
+        simulate._input_array([1.0, 2.0], 5, 3)
