@@ -239,7 +239,10 @@ def log_grid(wmin: float, wmax: float, n: int | None = None) -> np.ndarray:
         n = max(2, int(round(200 * np.log10(wmax / wmin))))
     if n < 1:
         raise ConfigurationError(f"need n >= 1 grid points, got {n}")
-    return np.logspace(np.log10(wmin), np.log10(wmax), n)
+    try:
+        return np.logspace(np.log10(wmin), np.log10(wmax), n)
+    except (ValueError, IndexError, MemoryError):  # numpy's refusals of a count it cannot hold
+        raise ConfigurationError(f"n = {n:.6g} grid points, too many to allocate") from None
 
 
 def mason_check(stacked: StackedSystem, conn: ConnectionMatrices, omegas,

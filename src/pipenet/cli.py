@@ -3,7 +3,7 @@
 All numeric output is CSV (comma separated, '.' decimal, header row, LF
 line endings) written to stdout or, with -o, to a file. The environment
 variable PIPENET_PRECISION controls printed precision (significant
-digits p, default 6).
+digits p, default 6, at most MAX_PRECISION).
 
 Every number is printed exactly as Python's "%.pg" % x prints it. Tables
 of 1024 cells or more are formatted by csvfmt in blocks of rows with
@@ -37,13 +37,17 @@ from .interconnect import select_outputs
 
 MASON_EXIT_TOLERANCE = 1e-6
 
+# no double's exact decimal value has more significant digits: from here on
+# "%.pg" prints the same text for every p, and "%" refuses p >= 2**31
+MAX_PRECISION = 767
+
 
 def _precision() -> int:
     try:
         p = int(os.environ.get("PIPENET_PRECISION", "6"))
     except ValueError:
         p = 6
-    return max(1, p)
+    return min(max(1, p), MAX_PRECISION)
 
 
 def _emit(blocks, path=None):
@@ -227,7 +231,11 @@ def cmd_sweep(args) -> int:
     if args.n < 1:
         raise ConfigurationError(f"--n must be at least 1, got {args.n}")
     spec = netspec.load(args.file)
-    ks = np.linspace(args.kmin, args.kmax, args.n)
+    try:
+        ks = np.linspace(args.kmin, args.kmax, args.n)
+    except (ValueError, IndexError, MemoryError):  # numpy's refusals of a count it cannot hold
+        raise ConfigurationError(
+            f"--n gives {args.n:.6g} gain values, too many to allocate") from None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", NominalWarning)
         margins = analysis.stability_margin_sweep(spec, args.element, ks)

@@ -6,7 +6,9 @@ Gas Networks, 1987); the element kinds differ only in their junction
 lists, JUNCTIONS. A junction joins the right ends of its feeder pipes and
 the left ends of its taker pipes at one pressure, which absorbs the
 index-1 algebraic interconnection constraints into a single unconstrained
-LTI model.
+LTI model. Only _layout reads JUNCTIONS: the ports, the labels, the node
+rule's templates and the steady state's nodes
+(netspec.CompiledNetwork._program) read its cached table.
 
 - Each member pipe gives a flow state q_l, with row
   beta_pr*p(right node) + beta_pl*p(left node) + gamma*q_l. A left node is

@@ -106,14 +106,14 @@ def _check_flanges(right: str, left: str):
 def wire(n_inputs: int, links, externals, input_label) -> list:
     """Source of every component input: ("y", output index) or ("u", external column).
 
-    A port end is (flange, input index, output index). Each link (right
-    end, left end) expands to two signal identities: the right end's
-    pressure output feeds the left end's pressure input, and the left
-    end's flow output feeds the right end's flow input. externals gives
-    the end of each external input in column order; it drives that end's
-    input. Both are read in order, once. input_label(i) names input i in
-    an error. Raises ConfigurationError for a link between incompatible
-    flanges and for an input with two drivers or none.
+    A port end is (input index, output index). Each link (right end, left
+    end) expands to two signal identities: the right end's pressure
+    output feeds the left end's pressure input, and the left end's flow
+    output feeds the right end's flow input. The caller has checked each
+    link's flanges (_check_flanges). externals gives the end of each
+    external input in column order; it drives that end's input. Both are
+    read in order, once. input_label(i) names input i in an error.
+    Raises ConfigurationError for an input with two drivers or none.
     """
     driven = [None] * n_inputs
 
@@ -122,11 +122,10 @@ def wire(n_inputs: int, links, externals, input_label) -> list:
             raise ConfigurationError(f"conflicting drivers for {input_label(i)}")
         driven[i] = source
 
-    for (r_flange, r_in, r_out), (l_flange, l_in, l_out) in links:
-        _check_flanges(r_flange, l_flange)
+    for (r_in, r_out), (l_in, l_out) in links:
         drive(l_in, ("y", r_out))
         drive(r_in, ("y", l_out))
-    for col, (_, i, _) in enumerate(externals):
+    for col, (i, _) in enumerate(externals):
         drive(i, ("u", col))
 
     for i, src in enumerate(driven):
@@ -145,11 +144,11 @@ def _drivers(input_labels, input_index, output_index, links, externals) -> list:
     def pairs():
         for right, left in links:
             _check_flanges(right.flange, left.flange)
-            yield ((right.flange, input_index(right.input_label), output_index(right.output_label)),
-                   (left.flange, input_index(left.input_label), output_index(left.output_label)))
+            yield ((input_index(right.input_label), output_index(right.output_label)),
+                   (input_index(left.input_label), output_index(left.output_label)))
 
     return wire(len(input_labels), pairs(),
-                ((port.flange, input_index(port.input_label), None) for _, port in externals),
+                ((input_index(port.input_label), None) for _, port in externals),
                 input_labels.__getitem__)
 
 

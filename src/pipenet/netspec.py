@@ -52,7 +52,7 @@ from functools import cached_property
 import numpy as np
 
 from . import core
-from .composites import (JUNCTIONS, NOMINAL_RTOL, CompositeModel, NodeRule, _check_junctions,
+from .composites import (NOMINAL_RTOL, CompositeModel, NodeRule, _check_junctions, _layout,
                          check_flows, check_gain, element_labels, input_labels, make_branch,
                          make_gain, make_joint, make_pipe, make_series, port_index)
 from .core import GasProperties, OperatingPoint, PipeParams, SignalLabel, StateSpaceModel
@@ -63,7 +63,9 @@ from .friction import friction_factor
 from .interconnect import (ConnectionMatrices, StackedSystem, _check_flanges, build_FG,  # noqa: F401
                            close, stack, wire)
 from .pipe_dynamics import IsoTable
-from .steady_state import exact_root, isothermal_nominal, relation_constants
+# isothermal_nominal stays importable here although nothing here calls it:
+# perfbench/tracer.py wraps netspec.isothermal_nominal by name
+from .steady_state import exact_root, isothermal_nominal, relation_constants  # noqa: F401
 
 _DEFAULT_CV = 1700.0
 
@@ -384,17 +386,6 @@ def _pipe_params(decl: PipeDecl) -> PipeParams:
                       h=decl.dh, lam=lam, k_rad=decl.krad)
 
 
-def _nominal(spec: NetworkSpec, pid: str) -> tuple[NominalDecl, bool]:
-    """Declared nominal of one pipe, and whether it names the pipe (not '*')."""
-    nom = spec.nominals.get(pid)
-    if nom is not None:
-        return nom, True
-    nom = spec.nominals.get("*")
-    if nom is None:
-        raise ConfigurationError(f"no nominal point for pipe {pid!r}")
-    return nom, False
-
-
 def _ids(el) -> tuple[str, ...]:
     """Member pipe ids of one element; (id,) for a gain, which has none."""
     return el.members or (el.name,)
@@ -562,9 +553,9 @@ class CompiledNetwork:
         end is (element, member position, flange, input, output index), the
         indices counted over the network (composites.port_index). pipes: per
         pipe (declared q, declared pl, own nominal?, relation_constants).
-        Raises the label route's ConfigurationErrors (_port, interconnect.wire)
-        for an unknown element or port and for a link's flanges, then for a
-        pipe with no nominal.
+        Raises the label route's ConfigurationErrors (_port,
+        interconnect._check_flanges) for an unknown element or port and for
+        a link's flanges, then for a pipe with no nominal.
         """
         spec = self.spec
         elements, ends, port, pipe = [], {}, 0, 0
@@ -582,8 +573,10 @@ class CompiledNetwork:
             _check_flanges(right[2], left[2])
         pipes = []
         for pid in self.pipe_ids:
-            nom, own = _nominal(spec, pid)
-            pipes.append((nom.q, nom.pl, own,
+            nom = spec.nominals.get(pid, spec.nominals.get("*"))
+            if nom is None:
+                raise ConfigurationError(f"no nominal point for pipe {pid!r}")
+            pipes.append((nom.q, nom.pl, pid in spec.nominals,
                           *relation_constants(spec.gas.T_0, self.params[pid], spec.gas)))
         return elements, links, inputs, pipes
 
@@ -609,9 +602,10 @@ class CompiledNetwork:
             return elements[e][1][i], flange
 
         joins = [(end(*a), end(*b)) for a, b in links]
-        # each junction of a composite holds its ends at one pressure
+        # each pressure node of an element holds its ends at one pressure; a
+        # boundary right end is a node of one end and joins nothing
         for kind, ids, _, _ in elements:
-            for feeders, takers in JUNCTIONS[kind](len(ids)):
+            for feeders, takers in _layout(kind, len(ids))[0]:
                 meet = [(ids[i], "r") for i in feeders] + [(ids[i], "l") for i in takers]
                 joins += [(meet[0], e) for e in meet[1:]]
         node = _group(ends, joins)
@@ -718,23 +712,25 @@ class CompiledNetwork:
         whether the composites' nominal checks apply.
 
         With ops (pipe id -> OperatingPoint) the checks are off. Without
-        them each pipe sits at its declared nominal, and a composite is
-        checked only when each member has its own nominal statement ('*'
-        defaults are not checked).
+        them each pipe sits at its declared nominal as _resolved holds it,
+        its exit pressure solved as the build solves it (_exit_pressure on
+        the held relation constants), and a composite is checked only when
+        each member has its own nominal statement ('*' defaults are not
+        checked). So the oracle path, like the build, reads the links, the
+        inputs and the nominals before it solves any pipe.
         """
-        spec = self.spec
-        for el in spec.elements:
-            ids = el.members
-            if ops is not None:
-                yield el, [(self.params[pid], ops[pid]) for pid in ids], False
-                continue
-            pipes, named = [], []
-            for pid in ids:
-                nom, own = _nominal(spec, pid)
-                pipes.append((self.params[pid], isothermal_nominal(
-                    nom.pl, nom.q, spec.gas.T_0, self.params[pid], spec.gas)))
-                named.append(own)
-            yield el, pipes, all(named)
+        if ops is not None:
+            for el in self.spec.elements:
+                yield el, [(self.params[pid], ops[pid]) for pid in el.members], False
+            return
+        elements, _, _, declared = self._resolved
+        T_0 = self.spec.gas.T_0
+        for el, (_, _, _, span) in zip(self.spec.elements, elements):
+            rows = declared[span]
+            points = [OperatingPoint(pl, _exit_pressure(pl, coef * q * abs(q), grav), q, T_0, T_0)
+                      for q, pl, _, coef, grav in rows]
+            pipes = [(self.params[pid], op) for pid, op in zip(el.members, points)]
+            yield el, pipes, all(row[2] for row in rows)
 
     @cached_property
     def _closure(self):
@@ -759,8 +755,8 @@ class CompiledNetwork:
             kind, ids, first, _ = elements[bisect_right([el[2] for el in elements], i) - 1]
             return input_labels(kind, ids)[i - first]
 
-        drivers = wire(len(outputs), [(a[2:], b[2:]) for a, b in links],
-                       [end[2:] for end in inputs], input_label)
+        drivers = wire(len(outputs), [(a[3:], b[3:]) for a, b in links],
+                       [end[3:] for end in inputs], input_label)
         rule = NodeRule([(kind, len(ids)) for kind, ids, _, _ in elements], drivers, len(inputs))
         return tuple(states), tuple(name for name, _ in self.spec.inputs), tuple(outputs), rule
 

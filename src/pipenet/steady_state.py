@@ -35,8 +35,9 @@ An iterate whose cube underflows to zero or overflows (outside about
 range of update and its slope: the solve raises NumericalError.
 
 exact_root is the solve on (base, c, grav): exact_nominal_pr for one
-pipe, and netspec.CompiledNetwork.spread once per pipe and gain value,
-with coef and grav held per pipe (relation_constants).
+pipe, and netspec.CompiledNetwork (spread once per pipe and gain value,
+and the declared nominals of the build and the oracle path), with coef
+and grav held per pipe (relation_constants).
 """
 
 from __future__ import annotations

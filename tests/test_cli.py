@@ -10,6 +10,7 @@ from pipenet import cli, csvfmt
 
 from conftest import LOOP_TEXT
 from test_build_errors import GAIN_BETWEEN
+from test_compile import ZERO_GAIN_NO_NOMINAL
 
 
 @pytest.fixture
@@ -176,6 +177,44 @@ def test_pressure_out_of_float_range_exit_one(tmp_path, capsys, text, args):
 def test_grid_of_no_points_exit_one(loop_file, capsys, args, message):
     assert run([args[0], loop_file, *args[1:]]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# 1e24 exceeds numpy's maximum array size and 2**63 its index range: neither
+# allocates anything, so the refusal does not rest on the host's memory
+@pytest.mark.parametrize("n", ["1000000000000000000000000", "9223372036854775808"],
+                         ids=["1e24", "2**63"])
+@pytest.mark.parametrize("args, what", [
+    (["bode"], "n = {n:.6g} grid points"),
+    (["mason"], "n = {n:.6g} grid points"),
+    (["sweep", "--element", "C", "--kmin", "4", "--kmax", "8"], "--n gives {n:.6g} gain values"),
+], ids=["bode", "mason", "sweep"])
+def test_grid_too_large_exit_one(loop_file, tmp_path, capsys, args, what, n):
+    out = tmp_path / "out.csv"
+    extra = [] if args[0] == "mason" else ["-o", str(out)]
+    assert run([args[0], loop_file, *args[1:], "--n", n, *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {what.format(n=int(n))}, too many to allocate\n"
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eig", "mason"])
+def test_precision_beyond_printf_limit(loop_file, capsys, monkeypatch, command):
+    # "%" refuses p >= 2**31; from p = 767 on "%.pg" prints a double's exact value
+    monkeypatch.setenv("PIPENET_PRECISION", "767")
+    assert run([command, loop_file]) == 0
+    want = capsys.readouterr().out
+    monkeypatch.setenv("PIPENET_PRECISION", str(2**31))
+    assert run([command, loop_file]) == 0
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("command", ["build", "mason"])
+def test_two_faults_first_error(tmp_path, capsys, command):
+    # mason's oracle path reads the nominals from the compile, as build does
+    path = tmp_path / "two_faults.pipenet"
+    path.write_text(ZERO_GAIN_NO_NOMINAL)
+    assert run([command, str(path)]) == 1
+    assert capsys.readouterr().err == "error: no nominal point for pipe 'P1'\n"
 
 
 @pytest.mark.parametrize("dt, T", [("1e-12", "1e12"), ("1e-300", "1e300")])

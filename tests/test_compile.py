@@ -9,12 +9,14 @@ coefficients, bit for bit.
 """
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import pipenet as pn
 from pipenet import composites, core, interconnect, netspec, steady_state
+from pipenet.errors import ConfigurationError
 
 from conftest import chain_text, mesh_text
 
@@ -174,7 +176,8 @@ def test_fill_equals_coefficient_row(specs):
 
 def test_declared_exit_pressures_equal_isothermal_nominal(specs, monkeypatch):
     # the build solves each pipe's exit pressure on its held relation constants,
-    # in pipe order; the one-pipe solve takes the declared nominal from scratch
+    # in pipe order, and so does the oracle path (members_at); the one-pipe solve
+    # takes the declared nominal from scratch
     seen = []
     exit_pressure = netspec._exit_pressure
     monkeypatch.setattr(netspec, "_exit_pressure",
@@ -187,8 +190,34 @@ def test_declared_exit_pressures_equal_isothermal_nominal(specs, monkeypatch):
         for pid in net.pipe_ids:
             nom = spec.nominals.get(pid, spec.nominals.get("*"))
             ref.append(steady_state.isothermal_nominal(nom.pl, nom.q, spec.gas.T_0,
-                                                       net.params[pid], spec.gas).p_r_ss)
-        assert np.array(seen).tobytes() == np.array(ref).tobytes()
+                                                       net.params[pid], spec.gas))
+        p_r = np.array([op.p_r_ss for op in ref])
+        assert np.array(seen).tobytes() == p_r.tobytes()
+        # the operating points are positive and finite: == compares their bits
+        assert [op for _, members, _ in net.members_at() for _, op in members] == ref
+
+
+# two faults: a gain of k = 0, then a pipe with no nominal
+ZERO_GAIN_NO_NOMINAL = ("gas Rs=518.28 z0=0.95 T0=300\ngain G k=0\n"
+                        "pipe P1 L=10 d=0.7 lambda=0.01\n"
+                        "link G.r P1.l\ninput up = G.l\ninput uq = P1.r\n")
+
+
+@pytest.mark.parametrize("link, message", [  # links the parser would refuse, set on the spec
+    (("P1", "l"), "no nominal point for pipe 'P1'"),
+    (("P1", "r"),
+     "incompatible flanges: link must connect a right flange to a left flange (got 'r'-'r')"),
+    (("Q", "l"), "unknown element 'Q'"),
+], ids=["nominal", "flanges", "element"])
+def test_oracle_path_raises_the_builds_first_error(link, message):
+    # the oracle path reads the links, the inputs and the nominals from the
+    # compile, as the build does, before it makes any element
+    spec = pn.parse(ZERO_GAIN_NO_NOMINAL)
+    spec = replace(spec, links=((netspec.PortRef("G", "r"), netspec.PortRef(*link)),))
+    for build in (pn.build_closed, pn.elaborate):
+        with pytest.raises(ConfigurationError) as err:
+            build(spec)
+        assert str(err.value) == message
 
 
 def test_build_renders_each_label_once(monkeypatch):
