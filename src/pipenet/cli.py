@@ -24,6 +24,7 @@ the first byte is written: a failed `sim` writes nothing and creates no
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -308,8 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except PipenetError as exc:

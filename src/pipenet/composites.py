@@ -162,15 +162,27 @@ def _label_plan(kind: str, n: int):
     return plan, (0 if kind == "gain" else len(plan)), reads
 
 
-def element_labels(kind: str, member_ids):
-    """State and output labels of one element.
+def network_labels(elements):
+    """The state and output labels of elements (kind, member ids), in order.
 
-    member_ids is (element id,) for a gain, which has no states. An
-    output's label is the label of the state it reads.
+    An element's states are each pressure node's p_r, then each member's
+    q_l (none for a gain, whose member ids are its own id); an output's
+    label is the label of the state it reads. The labels are made from
+    each kind's cached plan (_label_plan). Every element id is checked
+    once, as SignalLabel checks it, and the plans' sides and quantities
+    are valid, so no label runs SignalLabel's checks (SignalLabel._of).
+    If an id is invalid, every label is made by SignalLabel(...), and the
+    first one that holds the id raises its ConfigurationError.
     """
-    plan, n_states, reads = _label_plan(kind, len(member_ids))
-    labels = [SignalLabel(member_ids[i], side, quantity) for i, side, quantity in plan]
-    return tuple(labels[:n_states]), [labels[j] for j in reads]
+    valid = all(element_id and "." not in element_id for _, ids in elements for element_id in ids)
+    label = SignalLabel._of if valid else SignalLabel
+    states, outputs = [], []
+    for kind, member_ids in elements:
+        plan, n_states, reads = _label_plan(kind, len(member_ids))
+        labels = [label(member_ids[i], side, quantity) for i, side, quantity in plan]
+        states += labels[:n_states]
+        outputs += [labels[j] for j in reads]
+    return states, outputs
 
 
 def input_labels(kind: str, member_ids) -> list[SignalLabel]:
@@ -185,11 +197,11 @@ def element_signals(kind: str, member_ids):
 
     member_ids is (element id,) for a gain, which has no states.
     """
-    states, outputs = element_labels(kind, member_ids)
+    states, outputs = network_labels([(kind, member_ids)])
     inputs = input_labels(kind, member_ids)
     table = {name: Port(name, flange, inputs[u], outputs[y])
              for name, (flange, _, u, y) in port_index(kind, len(member_ids)).items()}
-    return states, tuple(inputs), tuple(outputs), table
+    return tuple(states), tuple(inputs), tuple(outputs), table
 
 
 def _scatter(shape, flat, values) -> np.ndarray:

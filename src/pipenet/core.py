@@ -38,9 +38,18 @@ class GasProperties:
     T_amb: float
 
     def __post_init__(self):
-        for name in ("R_s", "z_0", "c_v", "T_0", "T_amb"):
+        names = ("R_s", "z_0", "c_v", "T_0", "T_amb")
+        for name in names:
             if not getattr(self, name) > 0.0:
                 raise DomainError(f"GasProperties.{name} must be strictly positive")
+        for name in names:
+            _check_finite(f"GasProperties.{name}", getattr(self, name))
+
+
+def _check_finite(what: str, value: float):
+    """Raise the DomainError of an infinite value; nan is left to the range checks."""
+    if math.isinf(value):
+        raise DomainError(f"{what} must be finite, got {float(value)!r}")
 
 
 METHANE = GasProperties(R_s=518.28, z_0=0.95, c_v=1700.0, T_0=300.0, T_amb=300.0)
@@ -84,6 +93,12 @@ class PipeParams:
             raise DomainError("thermal conductivity k_rad must be nonnegative")
         if self.lam is not None and not self.lam > 0.0:
             raise DomainError("friction factor lambda must be strictly positive")
+        for what, value in (("pipe length L", self.L), ("pipe diameter d", self.d),
+                            ("outside diameter d_out", self.d_out), ("roughness eps", self.eps),
+                            ("elevation change h", self.h), ("friction factor lambda", self.lam),
+                            ("thermal conductivity k_rad", self.k_rad)):
+            if value is not None:
+                _check_finite(what, value)
         object.__setattr__(self, "A_c", math.pi * self.d**2 / 4.0)
 
     def require_lambda(self) -> float:
@@ -134,6 +149,14 @@ class SignalLabel:
 
     def __str__(self):
         return f"{self.element_id}.{self.side}.{self.quantity}"
+
+    @classmethod
+    def _of(cls, element_id: str, side: str, quantity: str) -> "SignalLabel":
+        """SignalLabel(element_id, side, quantity) for parts already checked, without __post_init__."""
+        label = object.__new__(cls)
+        fields = label.__dict__
+        fields["element_id"], fields["side"], fields["quantity"] = element_id, side, quantity
+        return label
 
     @classmethod
     def parse(cls, text: str) -> "SignalLabel":

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
-from .core import PipeParams
+from .core import PipeParams, _check_finite
 from .errors import ConfigurationError, DomainError
 
 
@@ -22,6 +22,8 @@ def haaland_lambda(eps: float, d: float, Re: float) -> float:
         raise DomainError("Reynolds number must be strictly positive")
     if eps < 0.0:
         raise DomainError("roughness must be nonnegative")
+    _check_finite("Reynolds number Re", Re)
+    _check_finite("roughness eps", eps)
     try:
         arg = (eps / (3.7 * d)) ** 1.11 + 6.9 / Re
     except OverflowError:  # float ** raises where it leaves the float range

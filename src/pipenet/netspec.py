@@ -26,23 +26,33 @@ they are not elements and may not be linked directly. Element
 declaration order determines state ordering, so identical files yield
 identical matrices.
 
+The parser takes each statement in one pass over its tokens (a port
+reference is one regular-expression match) and re-reads a malformed
+statement only to raise its errors in their order.
+
 A parsed description is compiled once (CompiledNetwork), on integers:
 each element's inputs and outputs are numbered after those of the
 elements before it, and a port names its member position and its input
-and output index within its element (composites.port_index). The
+and output index within its element (composites.port_index). The pipe
+table is a set of columns: one pass over the pipe declarations gives
+every pipe's friction factor, A_c, relation constants and IsoTable as
+arrays (_pipe_columns, _pipe_constants), and makes no PipeParams. The
 compile resolves and checks each link and input end once, beside each
-pipe's declared nominal; the node graph, the labels and the node rule
-pattern (composites.NodeRule) are built from that, and no label is
-looked up by its rendered text. Fills evaluate the pattern from the
-pipe table (pipe_dynamics.IsoTable): spread and fill_spread at K rows of
-gain values at once (a gain sweep, one table per chunk), model at one
-operating point (build_closed, network_steady_state). build_elements
-and elaborate keep the per-element models of the oracle path
-(interconnect.close, analysis.mason_check).
+pipe's declared nominal; the node graph, the labels (from each element
+kind's cached plan) and the node rule pattern (composites.NodeRule) are
+built from that, and no label is looked up by its rendered text. Fills
+evaluate the pattern from the pipe table (pipe_dynamics.IsoTable):
+spread and fill_spread at K rows of gain values at once (a gain sweep,
+one table per chunk), model at one operating point (build_closed,
+network_steady_state). build_elements and elaborate keep the
+per-element models of the oracle path (interconnect.close,
+analysis.mason_check), which reads the PipeParams that
+CompiledNetwork.params makes on first read.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from bisect import bisect_right
 from collections import deque
@@ -53,8 +63,9 @@ import numpy as np
 
 from . import core
 from .composites import (NOMINAL_RTOL, CompositeModel, NodeRule, _check_junctions, _layout,
-                         check_flows, check_gain, element_labels, input_labels, make_branch,
-                         make_gain, make_joint, make_pipe, make_series, port_index)
+                         check_flows, check_gain, input_labels, make_branch,
+                         make_gain, make_joint, make_pipe, make_series, network_labels,
+                         port_index)
 from .core import GasProperties, OperatingPoint, PipeParams, SignalLabel, StateSpaceModel
 from .errors import ConfigurationError, DomainError, ParseError
 from .friction import friction_factor
@@ -65,11 +76,14 @@ from .interconnect import (ConnectionMatrices, StackedSystem, _check_flanges, bu
 from .pipe_dynamics import IsoTable
 # isothermal_nominal stays importable here although nothing here calls it:
 # perfbench/tracer.py wraps netspec.isothermal_nominal by name
-from .steady_state import exact_root, isothermal_nominal, relation_constants  # noqa: F401
+from .steady_state import (exact_root, isothermal_nominal, relation_columns,  # noqa: F401
+                           relation_constants)
 
 _DEFAULT_CV = 1700.0
 
 _ID_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# <elem>.<port>: an identifier, one dot, and a port name that starts with its flange
+_PORT_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\.([lr][^.]*)\Z")
 
 
 @dataclass(frozen=True)
@@ -207,23 +221,50 @@ def _parse_id_list(val: str, line: int, key: str) -> tuple[str, ...]:
 
 
 def _parse_portref(tok: str, line: int) -> PortRef:
-    parts = tok.split(".")
-    if len(parts) != 2:
+    match = _PORT_RE.match(tok)
+    if match is not None:
+        return PortRef(*match.groups())
+    elem, dot, port = tok.partition(".")
+    if not dot or "." in port:
         raise ParseError(f"expected <elem>.<port>, got {tok!r}", line)
-    elem = _parse_id(parts[0], line)
-    port = parts[1]
-    if port[:1] not in ("l", "r"):
-        raise ParseError(f"unknown port name {port!r}", line)
-    return PortRef(elem, port)
+    _parse_id(elem, line)
+    raise ParseError(f"unknown port name {port!r}", line)
+
+
+def _parse_numbers(kind: str, name: str, args, line: int):
+    """The declaration of one NUMBERS statement, from its key=value tokens.
+
+    One pass takes each token's number. A statement that pass does not
+    take is read again by the checked path, which raises its errors in
+    their order: its keys (_parse_kv), then its values in the row's key
+    order.
+    """
+    cls, keys, required = NUMBERS[kind]
+    values = {}
+    for tok in args:
+        key, eq, val = tok.partition("=")
+        field = keys.get(key)
+        if not eq or field is None or field in values:
+            break
+        try:
+            values[field] = float(val)
+        except ValueError:
+            break
+    else:
+        for key in required:
+            if keys[key] not in values:
+                break
+        else:
+            return cls(name, **values)
+    kv = _parse_kv(args, line, keys, required)
+    return cls(name, **{field: _parse_float(kv[key], line, key)
+                        for key, field in keys.items() if key in kv})
 
 
 def _parse_decl(kind: str, name: str, args, line: int):
     """The declaration of one NUMBERS or COMPOSITES statement, from its row."""
     if kind in NUMBERS:
-        cls, keys, required = NUMBERS[kind]
-        kv = _parse_kv(args, line, keys, required)
-        return cls(name, **{field: _parse_float(kv[key], line, key)
-                            for key, field in keys.items() if key in kv})
+        return _parse_numbers(kind, name, args, line)
     counts = COMPOSITES[kind][0]
     kv = _parse_kv(args, line, counts, counts)
     pipes = []
@@ -242,41 +283,36 @@ def parse(text: str) -> NetworkSpec:
     elements: dict[str, object] = {}  # every declared element and pipe, by name, in order
     nominals: dict[str, NominalDecl] = {}
     nominal_lines: dict[str, int] = {}
-    links = []
+    links, link_lines = [], []
     inputs = []
     consumed: dict[str, str] = {}  # pipe id -> consuming composite
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stmt = raw.split("#", 1)[0].strip()
-        if not stmt:
+        tokens = raw.partition("#")[0].split()
+        if not tokens:
             continue
-        tokens = stmt.split()
-        kind, args = tokens[0], tokens[1:]
+        kind = tokens[0]
 
-        if kind == "gas":
-            if gas_kv is not None:
-                raise ParseError("duplicate gas block", lineno)
-            gas_kv = _parse_kv(args, lineno, {"Rs", "z0", "T0", "cv", "Tamb"},
-                               ("Rs", "z0", "T0"))
-            gas_line = lineno
-        elif kind == "nominal":
-            if not args:
-                raise ParseError("nominal needs a target", lineno)
-            target = args[0] if args[0] == "*" else _parse_id(args[0], lineno)
-            decl = _parse_decl(kind, target, args[1:], lineno)
-            if target in nominals:
-                raise ParseError(f"duplicate nominal for {target!r}", lineno)
-            nominals[target] = decl
-            nominal_lines[target] = lineno
-        elif kind in NUMBERS or kind in COMPOSITES:
-            if not args:
+        if kind == "link":
+            if len(tokens) != 3:
+                raise ParseError("link takes exactly two ports", lineno)
+            a = _parse_portref(tokens[1], lineno)
+            b = _parse_portref(tokens[2], lineno)
+            if a.port[0] != "r" or b.port[0] != "l":
+                raise ParseError(
+                    "incompatible flanges: link is <right port> <left port>", lineno)
+            links.append((a, b))
+            link_lines.append(lineno)
+        elif kind in NUMBERS and kind != "nominal" or kind in COMPOSITES:
+            if len(tokens) < 2:
                 raise ParseError(f"{kind} needs a name", lineno)
-            decl = _parse_decl(kind, _parse_id(args[0], lineno), args[1:], lineno)
-            if decl.name in elements:
-                raise ParseError(f"duplicate element {decl.name!r}", lineno)
-            elements[decl.name] = decl
+            name = _parse_id(tokens[1], lineno)
+            decl = _parse_decl(kind, name, tokens[2:], lineno)
+            if name in elements:
+                raise ParseError(f"duplicate element {name!r}", lineno)
+            elements[name] = decl
             if kind == "pipe":
-                pipes[decl.name] = decl
+                pipes[name] = decl
             elif kind in COMPOSITES:
                 for pid in (pid for ids in decl.pipes for pid in ids):
                     if pid not in pipes:
@@ -284,17 +320,24 @@ def parse(text: str) -> NetworkSpec:
                     if pid in consumed:
                         raise ParseError(
                             f"pipe {pid!r} already used by {consumed[pid]!r}", lineno)
-                    consumed[pid] = decl.name
-        elif kind == "link":
-            if len(args) != 2:
-                raise ParseError("link takes exactly two ports", lineno)
-            a = _parse_portref(args[0], lineno)
-            b = _parse_portref(args[1], lineno)
-            if a.port[0] != "r" or b.port[0] != "l":
-                raise ParseError(
-                    "incompatible flanges: link is <right port> <left port>", lineno)
-            links.append((a, b, lineno))
+                    consumed[pid] = name
+        elif kind == "gas":
+            if gas_kv is not None:
+                raise ParseError("duplicate gas block", lineno)
+            gas_kv = _parse_kv(tokens[1:], lineno, {"Rs", "z0", "T0", "cv", "Tamb"},
+                               ("Rs", "z0", "T0"))
+            gas_line = lineno
+        elif kind == "nominal":
+            if len(tokens) < 2:
+                raise ParseError("nominal needs a target", lineno)
+            target = tokens[1] if tokens[1] == "*" else _parse_id(tokens[1], lineno)
+            decl = _parse_decl(kind, target, tokens[2:], lineno)
+            if target in nominals:
+                raise ParseError(f"duplicate nominal for {target!r}", lineno)
+            nominals[target] = decl
+            nominal_lines[target] = lineno
         elif kind == "input":
+            stmt = raw.partition("#")[0].strip()
             name, eq, value = stmt[len(kind):].partition("=")
             name, value = name.strip(), value.strip()
             if not eq or not name or not value:
@@ -311,19 +354,24 @@ def parse(text: str) -> NetworkSpec:
                         c_v=gkv.get("cv", _DEFAULT_CV), T_0=T0,
                         T_amb=gkv.get("Tamb", T0))
 
+    ports: dict[str, object] = {}  # element id -> port_index, of each element referenced
+
     def check_portref(ref: PortRef, lineno: int):
-        decl = elements.get(ref.element)
-        if decl is None:
-            raise ParseError(f"unknown element {ref.element!r}", lineno)
-        if ref.element in consumed:
-            raise ParseError(
-                f"pipe {ref.element!r} belongs to {consumed[ref.element]!r} "
-                f"and may not be referenced directly", lineno)
-        if ref.port not in port_index(decl.kind, len(_ids(decl))):
+        table = ports.get(ref.element)
+        if table is None:
+            decl = elements.get(ref.element)
+            if decl is None:
+                raise ParseError(f"unknown element {ref.element!r}", lineno)
+            if ref.element in consumed:
+                raise ParseError(
+                    f"pipe {ref.element!r} belongs to {consumed[ref.element]!r} "
+                    f"and may not be referenced directly", lineno)
+            table = ports[ref.element] = port_index(decl.kind, len(_ids(decl)))
+        if ref.port not in table:
             raise ParseError(
                 f"element {ref.element!r} has no port {ref.port!r}", lineno)
 
-    for a, b, lineno in links:
+    for (a, b), lineno in zip(links, link_lines):
         check_portref(a, lineno)
         check_portref(b, lineno)
     seen_inputs = set()
@@ -341,7 +389,7 @@ def parse(text: str) -> NetworkSpec:
                        elements=tuple(el for name, el in elements.items()
                                       if name not in consumed),
                        nominals=nominals,
-                       links=tuple((a, b) for a, b, _ in links),
+                       links=tuple(links),
                        inputs=tuple((n, r) for n, r, _ in inputs))
 
 
@@ -384,6 +432,58 @@ def _pipe_params(decl: PipeDecl) -> PipeParams:
     lam = friction_factor(decl.lam, decl.eps, decl.d, decl.Re)
     return PipeParams(L=decl.L, d=decl.d, d_out=decl.dout, eps=decl.eps,
                       h=decl.dh, lam=lam, k_rad=decl.krad)
+
+
+def _pipe_columns(decls):
+    """(L, d, h, lambda, A_c) of the pipe declarations as float arrays, in one pass, or None.
+
+    lambda is resolved as _pipe_params resolves it, Haaland's once per
+    distinct (eps, d, Re). A_c is math.pi * d^2 / 4 with d^2 as
+    np.float_power(d, 2.0), the pow that Python's ** calls, so it equals
+    PipeParams.A_c bit for bit. None when a pipe needs the per-pipe route:
+    a value that friction_factor or PipeParams refuses (or an infinite or
+    nan one), or a d^2 that leaves the float range, where Python's **
+    raises and numpy's would not.
+    """
+    haaland = {}
+    try:
+        rows = []
+        for p in decls:
+            lam = p.lam
+            if lam is None:
+                key = (p.eps, p.d, p.Re)
+                lam = haaland.get(key)
+                if lam is None:
+                    lam = haaland[key] = friction_factor(None, p.eps, p.d, p.Re)
+            rows.append((p.L, p.d, p.d if p.dout is None else p.dout, p.eps, p.dh, lam, p.krad))
+        L, d, d_out, eps, h, lam, k_rad = columns = np.array(rows, dtype=float).reshape(-1, 7).T
+        if not (np.isfinite(columns).all() and (L > 0.0).all() and (d > 0.0).all()
+                and (d_out >= d).all() and (eps >= 0.0).all() and (k_rad >= 0.0).all()
+                and (lam > 0.0).all()):
+            return None
+        with np.errstate(all="raise"):
+            return L, d, h, lam, math.pi * np.float_power(d, 2.0) / 4.0
+    except (ArithmeticError, TypeError, ValueError):  # ValueError: PipenetErrors among them
+        return None
+
+
+def _pipe_constants(decls, gas: GasProperties):
+    """(coef, grav, IsoTable) of the pipes, computed from _pipe_columns, or None.
+
+    relation_columns and IsoTable.of_columns equal relation_constants
+    and IsoTable over PipeParams bit for bit. None when a pipe needs the
+    per-pipe route: _pipe_columns gives None, or the arithmetic leaves the
+    float range, where Python's scalar division raises.
+    """
+    columns = _pipe_columns(decls)
+    if columns is None:
+        return None
+    try:
+        with np.errstate(all="raise"):
+            return (*relation_columns(gas.T_0, *columns, gas),
+                    IsoTable.of_columns(*columns, gas))
+    except FloatingPointError:
+        return None
 
 
 def _ids(el) -> tuple[str, ...]:
@@ -509,12 +609,21 @@ def _unknown_gain(element_id: str) -> ConfigurationError:
 class CompiledNetwork:
     """A network description compiled once: what it fixes before any operating point is known.
 
-    Holds the resolved friction factor of every pipe and the declared gain
-    values. On first use it reads the spec once (_resolved): the ends of
-    the links and inputs, checked, and per pipe its declared nominal and
-    relation constants. The steady-state program (_program), the model's
-    labels and node rule pattern (_closure) and the fills read only that,
-    and the pipes' linearization constants as arrays (pipe_dynamics.IsoTable).
+    Holds the pipes' constants as columns (_pipe_constants: the relation
+    constants and the IsoTable, from one pass over the declarations, with
+    each pipe's friction factor resolved) and the declared gain values.
+    A pipe that PipeParams or friction_factor refuses raises, while the
+    compile is made, the first error of the per-pipe loop (_pipe_params
+    in pipe_ids order); such a compile, or one whose arithmetic leaves the
+    float range, takes the per-pipe route throughout. params, the
+    PipeParams of every pipe, is made on first read: the oracle path
+    (members_at) reads it, the build does not.
+
+    On first use it reads the spec once (_resolved): the ends of the links
+    and inputs, checked, and per pipe its declared nominal and relation
+    constants. The steady-state program (_program), the model's labels and
+    node rule pattern (_closure) and the fills read only that, and the
+    pipes' linearization constants as arrays (pipe_dynamics.IsoTable).
     None of these depend on a gain value.
 
     A gain sweep compiles once and fills a table of K gain rows at a time
@@ -527,7 +636,9 @@ class CompiledNetwork:
     def __init__(self, spec: NetworkSpec):
         self.spec = spec
         self.pipe_ids = [pid for el in spec.elements for pid in el.members]
-        self.params = {pid: _pipe_params(spec.pipes[pid]) for pid in self.pipe_ids}
+        self._constants = _pipe_constants([spec.pipes[pid] for pid in self.pipe_ids], spec.gas)
+        if self._constants is None:
+            self.params  # the per-pipe route raises the first pipe fault, in pipe_ids order
         gains = [el for el in spec.elements if el.kind == "gain"]
         self._gain_index = {g.name: i for i, g in enumerate(gains)}
         self.gains = tuple(g.k for g in gains)
@@ -538,6 +649,11 @@ class CompiledNetwork:
         if i is None:
             raise _unknown_gain(element_id)
         return self.gains[:i] + (k,) + self.gains[i + 1:]
+
+    @cached_property
+    def params(self) -> dict:
+        """Pipe id -> PipeParams, in pipe_ids order; made on first read (the oracle path)."""
+        return {pid: _pipe_params(self.spec.pipes[pid]) for pid in self.pipe_ids}
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -558,26 +674,35 @@ class CompiledNetwork:
         a link's flanges, then for a pipe with no nominal.
         """
         spec = self.spec
-        elements, ends, port, pipe = [], {}, 0, 0
+        elements, tables, offsets, port, pipe = [], {}, {}, 0, 0
         for e, el in enumerate(spec.elements):
             ids = _ids(el)
-            table = port_index(el.kind, len(ids))
-            ends[el.name] = {name: (e, i, flange, port + u, port + y)
-                             for name, (flange, i, u, y) in table.items()}
-            elements.append((el.kind, ids, port, slice(pipe, pipe + len(el.members))))
+            n_pipes = len(el.members)
+            tables[el.name] = table = port_index(el.kind, len(ids))
+            offsets[el.name] = e, port
+            elements.append((el.kind, ids, port, slice(pipe, pipe + n_pipes)))
             port += len(table)
-            pipe += len(el.members)
-        links = [(_port(ends, a), _port(ends, b)) for a, b in spec.links]
-        inputs = [_port(ends, ref) for _, ref in spec.inputs]
+            pipe += n_pipes
+
+        def end(ref):
+            flange, i, u, y = _port(tables, ref)
+            e, first = offsets[ref.element]
+            return e, i, flange, first + u, first + y
+
+        links = [(end(a), end(b)) for a, b in spec.links]
+        inputs = [end(ref) for _, ref in spec.inputs]
         for right, left in links:
             _check_flanges(right[2], left[2])
-        pipes = []
+        pipes, default = [], spec.nominals.get("*")
+        constants = (None if self._constants is None
+                     else zip(*(c.tolist() for c in self._constants[:2])))
         for pid in self.pipe_ids:
-            nom = spec.nominals.get(pid, spec.nominals.get("*"))
+            nom = spec.nominals.get(pid, default)
             if nom is None:
                 raise ConfigurationError(f"no nominal point for pipe {pid!r}")
             pipes.append((nom.q, nom.pl, pid in spec.nominals,
-                          *relation_constants(spec.gas.T_0, self.params[pid], spec.gas)))
+                          *(relation_constants(spec.gas.T_0, self.params[pid], spec.gas)
+                            if constants is None else next(constants))))
         return elements, links, inputs, pipes
 
     @cached_property
@@ -740,11 +865,7 @@ class CompiledNetwork:
         texts of the label route (_wiring, _drivers).
         """
         elements, links, inputs, _ = self._resolved
-        states, outputs = [], []
-        for kind, ids, _, _ in elements:
-            own_states, own_outputs = element_labels(kind, ids)
-            states += own_states
-            outputs += own_outputs
+        states, outputs = network_labels([(kind, ids) for kind, ids, _, _ in elements])
         members = [pid for _, ids, _, _ in elements for pid in ids]
         if len(set(members)) < len(members):  # labels may collide: the label route's checks
             core.label_index([lab for kind, ids, _, _ in elements
@@ -763,6 +884,8 @@ class CompiledNetwork:
     @cached_property
     def _iso(self) -> IsoTable:
         """The pipes' linearization constants as arrays, in pipe_ids order."""
+        if self._constants is not None:
+            return self._constants[2]
         return IsoTable([self.params[pid] for pid in self.pipe_ids], self.spec.gas)
 
     def _table(self, q, p_l, declared: bool = False):
@@ -774,11 +897,13 @@ class CompiledNetwork:
         nominal. The pipe table (_iso) equals composites.coefficient_row
         bit for bit.
         """
-        for kind, _, _, pipes in self._resolved[0]:
-            if declared:
-                rows = self._resolved[3][pipes]
-                p_r = [_exit_pressure(pl, coef * flow * abs(flow), grav)
-                       for flow, pl, _, coef, grav in rows]
+        elements, _, _, nominal = self._resolved
+        for kind, _, _, pipes in elements:
+            rows = nominal[pipes] if declared else ()
+            p_r = [_exit_pressure(pl, coef * flow * abs(flow), grav)
+                   for flow, pl, _, coef, grav in rows]
+            if kind == "pipe" or kind == "gain":  # no member checks
+                continue
             check_flows(kind, q[pipes])
             if declared and all(row[2] for row in rows):
                 _check_junctions(kind, q[pipes], [row[1] for row in rows], p_r)
@@ -844,10 +969,18 @@ def build_elements(spec: NetworkSpec,
     it each pipe is linearized at its declared nominal, and a composite
     checks consistency only when each member has its own nominal
     statement ('*' defaults are not checked).
+
+    Checks in the build's order (CompiledNetwork.model): first the wiring
+    (_closure), then every k, then each element as it is made, so both
+    paths raise the same first error.
     """
     out = []
     ops = None if steady is None else steady.ops
-    for el, pipes, check in CompiledNetwork(spec).members_at(ops):
+    net = CompiledNetwork(spec)
+    net._closure
+    for k in net.gains:
+        check_gain(k)
+    for el, pipes, check in net.members_at(ops):
         if el.kind == "gain":
             out.append(make_gain(el.k, el.name))
         elif el.kind == "pipe":

@@ -93,23 +93,36 @@ class IsoTable:
     """iso_coefficients of a fixed list of pipes, evaluated as arrays.
 
     The parts that do not depend on the operating point (alpha, beta_pr
-    and the factors of beta_pl and gamma) are held per pipe. at() takes
-    the operands of iso_coefficients in its order, so every entry equals
-    it bit for bit. p_l^2 is np.float_power(p_l, 2.0): like Python's **
-    it calls the C library's pow, while np.power squares, which rounds
-    differently in about one case in a thousand.
+    and the factors of beta_pl and gamma) are held per pipe, computed
+    from the pipes' columns (of_columns: L, d, h, lambda and A_c as
+    arrays, one entry per pipe). IsoTable(params, gas) is a thin wrapper
+    that takes those columns from a list of PipeParams. Each expression
+    keeps the operands and the order of iso_coefficients, so the held
+    parts, and every entry of at(), equal it bit for bit. p_l^2 is
+    np.float_power(p_l, 2.0): like Python's ** it calls the C library's
+    pow, while np.power squares, which rounds differently in about one
+    case in a thousand.
     """
 
     def __init__(self, params, gas: GasProperties):
+        rows = [(par.L, par.d, par.h, par.require_lambda(), par.A_c) for par in params]
+        self._hold(*np.array(rows, dtype=float).reshape(-1, 5).T, gas)
+
+    @classmethod
+    def of_columns(cls, L, d, h, lam, A_c, gas: GasProperties) -> "IsoTable":
+        """The table of pipes given as float arrays of L, d, h, resolved lambda and A_c."""
+        table = cls.__new__(cls)
+        table._hold(L, d, h, lam, A_c, gas)
+        return table
+
+    def _hold(self, L, d, h, lam, A_c, gas: GasProperties):
         rtz = gas.R_s * gas.T_0 * gas.z_0
-        rows = []
-        for par in params:
-            lam = par.require_lambda()
-            A_c, L, d, h = par.A_c, par.L, par.d, par.h
-            rows.append((-rtz / (A_c * L), -A_c / L, A_c / L, lam * rtz / (2.0 * d * A_c),
-                         A_c * G_STD * h / (rtz * L), lam * rtz / (d * A_c)))
-        (self.alpha, self.beta_pr, self._beta_pl0, self._friction_pl, self._elevation,
-         self._friction_q) = np.array(rows, dtype=float).reshape(-1, 6).T
+        self.alpha = -rtz / (A_c * L)
+        self.beta_pr = -A_c / L
+        self._beta_pl0 = A_c / L
+        self._friction_pl = lam * rtz / (2.0 * d * A_c)
+        self._elevation = A_c * G_STD * h / (rtz * L)
+        self._friction_q = lam * rtz / (d * A_c)
 
     def at(self, q, p_l) -> np.ndarray:
         """(K, 4 P) table of (alpha, beta_pr, beta_pl, gamma) per pipe, in pipe order.

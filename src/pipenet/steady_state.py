@@ -44,6 +44,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .core import G_STD, GasProperties, OperatingPoint, PipeParams
 from .errors import DomainError, NumericalError
 
@@ -105,6 +107,19 @@ def relation_constants(T_r_ss: float, params: PipeParams, gas: GasProperties):
     Rz = gas.R_s * gas.z_0
     grav = G_STD * params.h / (Rz * T_r_ss)
     coef = lam * params.L * Rz * T_r_ss / (2.0 * params.d * params.A_c**2)
+    return coef, grav
+
+
+def relation_columns(T_r_ss: float, L, d, h, lam, A_c, gas: GasProperties):
+    """relation_constants of many pipes at once, from float arrays of L, d, h, lambda and A_c.
+
+    Each expression keeps the operands and the order of relation_constants,
+    and A_c^2 is np.float_power(A_c, 2.0), the C library's pow that
+    Python's ** calls, so (coef, grav) equal it bit for bit.
+    """
+    Rz = gas.R_s * gas.z_0
+    grav = G_STD * h / (Rz * T_r_ss)
+    coef = lam * L * Rz * T_r_ss / (2.0 * d * np.float_power(A_c, 2.0))
     return coef, grav
 
 

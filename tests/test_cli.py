@@ -418,3 +418,63 @@ def test_read_inputs_holds_eight_bytes_per_value(tmp_path):
     names, data = cli._read_inputs(str(path))
     assert names == ["fill", "dist", "vent"]
     assert data.shape == (rows, 3) and (data == [1.0, 2.0, 3.0]).all()
+
+
+INF_GAS = {"Rs": "R_s", "z0": "z_0", "T0": "T_0", "cv": "c_v", "Tamb": "T_amb"}
+# each pipe key, and the field its error names; Re goes to Haaland's lambda, so
+# that pipe declares no lambda
+INF_PIPE = {"L": "pipe length L", "d": "pipe diameter d", "dout": "outside diameter d_out",
+            "eps": "roughness eps", "dh": "elevation change h",
+            "lambda": "friction factor lambda", "krad": "thermal conductivity k_rad",
+            "Re": "Reynolds number Re"}
+
+
+@pytest.mark.parametrize("key", [*INF_GAS, *INF_PIPE])
+def test_infinite_gas_or_pipe_value_exit_one(tmp_path, capsys, key):
+    gas = {"Rs": "518.28", "z0": "0.95", "T0": "300", "cv": "1700", "Tamb": "300"}
+    pipe = {"L": "10", "d": "0.7", "eps": "4.57e-5", "Re": "1.168e8"}
+    if key in gas:
+        gas[key] = "inf"
+        named = f"GasProperties.{INF_GAS[key]}"
+    else:
+        if key != "Re":
+            pipe["lambda"] = "0.01"
+        pipe[key] = "inf"
+        named = INF_PIPE[key]
+    path = tmp_path / "inf.pipenet"
+    path.write_text("gas " + " ".join(f"{k}={v}" for k, v in gas.items()) + "\n"
+                    "pipe P " + " ".join(f"{k}={v}" for k, v in pipe.items()) + "\n"
+                    "nominal * pl=25e5 q=21\ninput up = P.l\ninput uq = P.r\n")
+    assert run(["build", str(path), "--dump-matrices", str(tmp_path / "m")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {named} must be finite, got inf\n"
+    assert not list(tmp_path.glob("m.*"))
+
+
+def test_parser_is_built_once_and_reused(loop_file, tmp_path, capsys, monkeypatch):
+    # successive calls, and a call after one that exits 2 on bad arguments, print
+    # what each prints with a parser of its own
+    calls = [["eig", loop_file], ["build", loop_file, "--select", "P6.r.p"],
+             ["sweep", loop_file, "--element", "C", "--kmin", "4", "--kmax", "8", "--n", "2"],
+             ["bode", loop_file, "--n", "oops"], ["dcgain", loop_file, "--flows-only"],
+             ["nonsense"], ["mason", loop_file, "--n", "3"], ["sim", loop_file, "--dt", "1"],
+             ["eig", loop_file, "-o", str(tmp_path / "eig.csv")]]
+
+    def outcomes():
+        got = []
+        for argv in calls:
+            try:
+                code = run(argv)
+            except SystemExit as exc:  # argparse's exit on bad arguments
+                code = f"exit {exc.code}"
+            captured = capsys.readouterr()
+            got.append((code, captured.out, captured.err))
+        return got
+
+    cli._parser.cache_clear()
+    reused = outcomes()
+    assert cli._parser.cache_info().misses == 1
+    assert [code for code, _, _ in reused] == [0, 0, 0, "exit 2", 0, "exit 2", 0, "exit 2", 0]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a new parser on every call
+    assert outcomes() == reused
