@@ -51,7 +51,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .core import (GasProperties, ModelEntries, OperatingPoint, PipeParams, SignalLabel,
-                   StateSpaceModel)
+                   StateSpaceModel, check_element_id)
 from .errors import ConfigurationError, NumericalError
 # linearize_2d stays importable here: perfbench/tracer.py wraps composites.linearize_2d
 from .pipe_dynamics import iso_coefficients, linearize_2d  # noqa: F401
@@ -168,18 +168,17 @@ def network_labels(elements):
     An element's states are each pressure node's p_r, then each member's
     q_l (none for a gain, whose member ids are its own id); an output's
     label is the label of the state it reads. The labels are made from
-    each kind's cached plan (_label_plan). Every element id is checked
-    once, as SignalLabel checks it, and the plans' sides and quantities
-    are valid, so no label runs SignalLabel's checks (SignalLabel._of).
-    If an id is invalid, every label is made by SignalLabel(...), and the
-    first one that holds the id raises its ConfigurationError.
+    each kind's cached plan (_label_plan), by SignalLabel._of: every
+    element id is checked once (core.check_element_id), so the first
+    invalid id raises SignalLabel's ConfigurationError, and the plans'
+    sides and quantities are valid.
     """
-    valid = all(element_id and "." not in element_id for _, ids in elements for element_id in ids)
-    label = SignalLabel._of if valid else SignalLabel
     states, outputs = [], []
     for kind, member_ids in elements:
+        for element_id in member_ids:
+            check_element_id(element_id)
         plan, n_states, reads = _label_plan(kind, len(member_ids))
-        labels = [label(member_ids[i], side, quantity) for i, side, quantity in plan]
+        labels = [SignalLabel._of(member_ids[i], side, quantity) for i, side, quantity in plan]
         states += labels[:n_states]
         outputs += [labels[j] for j in reads]
     return states, outputs

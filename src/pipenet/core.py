@@ -55,18 +55,63 @@ def _check_finite(what: str, value: float):
 METHANE = GasProperties(R_s=518.28, z_0=0.95, c_v=1700.0, T_0=300.0, T_amb=300.0)
 
 
+def _diameter_out_of_range(d):
+    """Whether A_c^2 overflows or the relation's 2 d A_c^2 is zero, with A_c = pi d^2/4, for a
+    float d or per entry of an array of them.
+
+    steady_state.relation_constants divides by 2 d A_c^2, and Python's
+    float ** raises OverflowError where numpy's gives inf. A product that
+    overflows is inf in both, and the relation's coefficient 0.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        square = np.float_power(math.pi * np.float_power(d, 2.0) / 4.0, 2.0)
+        return np.isinf(square) | (2.0 * d * square == 0.0)
+
+
+def _finite_rule(name: str, what: str):
+    return name, lambda p: np.isinf(getattr(p, name)), what + " must be finite, got {!r}"
+
+
+# The rule for a valid pipe, in the order it is checked: (field, fault, message).
+# fault reads the fields of a PipeParams, or float arrays of them with one entry
+# per pipe (netspec._pipe_columns), and is true where the rule fails. A rule
+# whose field is None (an unresolved lambda) does not apply; message takes the
+# field's value.
+PIPE_RULES = (
+    ("L", lambda p: ~np.greater(p.L, 0.0), "pipe length L must be strictly positive"),
+    ("d", lambda p: ~np.greater(p.d, 0.0), "pipe diameter d must be strictly positive"),
+    ("d_out", lambda p: np.less(p.d_out, p.d), "outside diameter d_out must be >= inside diameter d"),
+    ("eps", lambda p: np.less(p.eps, 0.0), "roughness eps must be nonnegative"),
+    ("k_rad", lambda p: np.less(p.k_rad, 0.0), "thermal conductivity k_rad must be nonnegative"),
+    ("lam", lambda p: ~np.greater(p.lam, 0.0), "friction factor lambda must be strictly positive"),
+    _finite_rule("L", "pipe length L"),
+    _finite_rule("d", "pipe diameter d"),
+    _finite_rule("d_out", "outside diameter d_out"),
+    _finite_rule("eps", "roughness eps"),
+    _finite_rule("h", "elevation change h"),
+    _finite_rule("lam", "friction factor lambda"),
+    _finite_rule("k_rad", "thermal conductivity k_rad"),
+    ("d", lambda p: _diameter_out_of_range(p.d),
+     "pipe diameter d must keep A_c**2 finite and 2*d*A_c**2 nonzero, got {!r}"),
+)
+
+
 @dataclass(frozen=True)
 class PipeParams:
     """Geometry and loss parameters of one pipe segment.
 
     L      length [m]
-    d      inside diameter [m]
+    d      inside diameter [m]; A_c^2 must be finite and the relation's
+           2 d A_c^2 (steady_state.relation_constants) nonzero, so d lies
+           between about 1e-65 and 1e77
     d_out  outside diameter [m] (defaults to d)
     eps    wall roughness [m]
     h      elevation change left->right [m]
     lam    Darcy friction factor [1]; None until resolved
     k_rad  lumped radial thermal conductivity [W/(m^2 K)]
     A_c    cross-sectional area [m^2]; derived, always pi*d^2/4
+
+    The values must pass PIPE_RULES, checked in its order.
     """
 
     L: float
@@ -79,26 +124,12 @@ class PipeParams:
     A_c: float = field(init=False)
 
     def __post_init__(self):
-        if not self.L > 0.0:
-            raise DomainError("pipe length L must be strictly positive")
-        if not self.d > 0.0:
-            raise DomainError("pipe diameter d must be strictly positive")
         if self.d_out is None:
             object.__setattr__(self, "d_out", self.d)
-        if self.d_out < self.d:
-            raise DomainError("outside diameter d_out must be >= inside diameter d")
-        if self.eps < 0.0:
-            raise DomainError("roughness eps must be nonnegative")
-        if self.k_rad < 0.0:
-            raise DomainError("thermal conductivity k_rad must be nonnegative")
-        if self.lam is not None and not self.lam > 0.0:
-            raise DomainError("friction factor lambda must be strictly positive")
-        for what, value in (("pipe length L", self.L), ("pipe diameter d", self.d),
-                            ("outside diameter d_out", self.d_out), ("roughness eps", self.eps),
-                            ("elevation change h", self.h), ("friction factor lambda", self.lam),
-                            ("thermal conductivity k_rad", self.k_rad)):
-            if value is not None:
-                _check_finite(what, value)
+        for name, fault, message in PIPE_RULES:
+            value = getattr(self, name)
+            if value is not None and fault(self):
+                raise DomainError(message.format(float(value)))
         object.__setattr__(self, "A_c", math.pi * self.d**2 / 4.0)
 
     def require_lambda(self) -> float:
@@ -127,6 +158,12 @@ class OperatingPoint:
                 raise DomainError(f"OperatingPoint.{name} must be strictly positive")
 
 
+def check_element_id(element_id: str):
+    """Raise the ConfigurationError of an element id that a label cannot hold: empty, or with a dot."""
+    if not element_id or "." in element_id:
+        raise ConfigurationError(f"invalid element id {element_id!r}")
+
+
 @dataclass(frozen=True, order=True)
 class SignalLabel:
     """Identifies one boundary signal of one element, e.g. P3.r.p.
@@ -144,8 +181,7 @@ class SignalLabel:
             raise ConfigurationError(f"invalid side {self.side!r}; expected 'l' or 'r'")
         if self.quantity not in _QUANTITIES:
             raise ConfigurationError(f"invalid quantity {self.quantity!r}; expected one of {_QUANTITIES}")
-        if not self.element_id or "." in self.element_id:
-            raise ConfigurationError(f"invalid element id {self.element_id!r}")
+        check_element_id(self.element_id)
 
     def __str__(self):
         return f"{self.element_id}.{self.side}.{self.quantity}"

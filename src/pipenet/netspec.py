@@ -34,13 +34,15 @@ A parsed description is compiled once (CompiledNetwork), on integers:
 each element's inputs and outputs are numbered after those of the
 elements before it, and a port names its member position and its input
 and output index within its element (composites.port_index). The pipe
-table is a set of columns: one pass over the pipe declarations gives
-every pipe's friction factor, A_c, relation constants and IsoTable as
-arrays (_pipe_columns, _pipe_constants), and makes no PipeParams. The
-compile resolves and checks each link and input end once, beside each
-pipe's declared nominal; the node graph, the labels (from each element
-kind's cached plan) and the node rule pattern (composites.NodeRule) are
-built from that, and no label is looked up by its rendered text. Fills
+table is a set of columns, on one route: one pass over the pipe
+declarations gives every pipe's friction factor and A_c as arrays
+(_pipe_columns), screened by the one rule for a valid pipe
+(core.PIPE_RULES), and from them the relation constants and the
+IsoTable; the build makes no PipeParams. The compile resolves and checks
+each link and input end once, beside each pipe's declared nominal; the
+node graph, the labels (from each element kind's cached plan) and the
+node rule pattern (composites.NodeRule) are built from that, and no
+label is looked up by its rendered text. Fills
 evaluate the pattern from the pipe table (pipe_dynamics.IsoTable):
 spread and fill_spread at K rows of gain values at once (a gain sweep,
 one table per chunk), model at one operating point (build_closed,
@@ -55,7 +57,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_right
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -66,7 +68,7 @@ from .composites import (NOMINAL_RTOL, CompositeModel, NodeRule, _check_junction
                          check_flows, check_gain, input_labels, make_branch,
                          make_gain, make_joint, make_pipe, make_series, network_labels,
                          port_index)
-from .core import GasProperties, OperatingPoint, PipeParams, SignalLabel, StateSpaceModel
+from .core import PIPE_RULES, GasProperties, OperatingPoint, PipeParams, SignalLabel, StateSpaceModel
 from .errors import ConfigurationError, DomainError, ParseError
 from .friction import friction_factor
 # close stays importable here although nothing here calls it: perfbench/tracer.py wraps
@@ -76,8 +78,7 @@ from .interconnect import (ConnectionMatrices, StackedSystem, _check_flanges, bu
 from .pipe_dynamics import IsoTable
 # isothermal_nominal stays importable here although nothing here calls it:
 # perfbench/tracer.py wraps netspec.isothermal_nominal by name
-from .steady_state import (exact_root, isothermal_nominal, relation_columns,  # noqa: F401
-                           relation_constants)
+from .steady_state import exact_root, isothermal_nominal, relation_columns  # noqa: F401
 
 _DEFAULT_CV = 1700.0
 
@@ -434,20 +435,23 @@ def _pipe_params(decl: PipeDecl) -> PipeParams:
                       h=decl.dh, lam=lam, k_rad=decl.krad)
 
 
+# the pipe columns that core.PIPE_RULES reads, by PipeParams field name
+_PipeColumns = namedtuple("_PipeColumns", "L d d_out eps h lam k_rad")
+
+
 def _pipe_columns(decls):
-    """(L, d, h, lambda, A_c) of the pipe declarations as float arrays, in one pass, or None.
+    """(L, d, h, lambda, A_c) of the pipe declarations as float arrays, in one pass.
 
     lambda is resolved as _pipe_params resolves it, Haaland's once per
-    distinct (eps, d, Re). A_c is math.pi * d^2 / 4 with d^2 as
+    distinct (eps, d, Re). The columns are screened by core.PIPE_RULES, the
+    rule that PipeParams checks. If a pipe fails it, or friction_factor
+    refuses one, _pipe_params runs over the pipes in order, only to raise
+    the first fault. A_c is math.pi * d^2 / 4 with d^2 as
     np.float_power(d, 2.0), the pow that Python's ** calls, so it equals
-    PipeParams.A_c bit for bit. None when a pipe needs the per-pipe route:
-    a value that friction_factor or PipeParams refuses (or an infinite or
-    nan one), or a d^2 that leaves the float range, where Python's **
-    raises and numpy's would not.
+    PipeParams.A_c bit for bit.
     """
-    haaland = {}
+    haaland, rows = {}, []
     try:
-        rows = []
         for p in decls:
             lam = p.lam
             if lam is None:
@@ -456,34 +460,14 @@ def _pipe_columns(decls):
                 if lam is None:
                     lam = haaland[key] = friction_factor(None, p.eps, p.d, p.Re)
             rows.append((p.L, p.d, p.d if p.dout is None else p.dout, p.eps, p.dh, lam, p.krad))
-        L, d, d_out, eps, h, lam, k_rad = columns = np.array(rows, dtype=float).reshape(-1, 7).T
-        if not (np.isfinite(columns).all() and (L > 0.0).all() and (d > 0.0).all()
-                and (d_out >= d).all() and (eps >= 0.0).all() and (k_rad >= 0.0).all()
-                and (lam > 0.0).all()):
-            return None
-        with np.errstate(all="raise"):
-            return L, d, h, lam, math.pi * np.float_power(d, 2.0) / 4.0
+        pipes = _PipeColumns(*np.array(rows, dtype=float).reshape(-1, 7).T)
+        faulty = np.any([fault(pipes) for _, fault, _ in PIPE_RULES])
     except (ArithmeticError, TypeError, ValueError):  # ValueError: PipenetErrors among them
-        return None
-
-
-def _pipe_constants(decls, gas: GasProperties):
-    """(coef, grav, IsoTable) of the pipes, computed from _pipe_columns, or None.
-
-    relation_columns and IsoTable.of_columns equal relation_constants
-    and IsoTable over PipeParams bit for bit. None when a pipe needs the
-    per-pipe route: _pipe_columns gives None, or the arithmetic leaves the
-    float range, where Python's scalar division raises.
-    """
-    columns = _pipe_columns(decls)
-    if columns is None:
-        return None
-    try:
-        with np.errstate(all="raise"):
-            return (*relation_columns(gas.T_0, *columns, gas),
-                    IsoTable.of_columns(*columns, gas))
-    except FloatingPointError:
-        return None
+        faulty = True
+    if faulty:
+        for p in decls:
+            _pipe_params(p)  # raises the first pipe fault, in pipe order
+    return pipes.L, pipes.d, pipes.h, pipes.lam, math.pi * np.float_power(pipes.d, 2.0) / 4.0
 
 
 def _ids(el) -> tuple[str, ...]:
@@ -609,13 +593,14 @@ def _unknown_gain(element_id: str) -> ConfigurationError:
 class CompiledNetwork:
     """A network description compiled once: what it fixes before any operating point is known.
 
-    Holds the pipes' constants as columns (_pipe_constants: the relation
-    constants and the IsoTable, from one pass over the declarations, with
-    each pipe's friction factor resolved) and the declared gain values.
-    A pipe that PipeParams or friction_factor refuses raises, while the
-    compile is made, the first error of the per-pipe loop (_pipe_params
-    in pipe_ids order); such a compile, or one whose arithmetic leaves the
-    float range, takes the per-pipe route throughout. params, the
+    Holds the pipes' columns (_pipe_columns: L, d, h, the resolved
+    friction factor and A_c, from one pass over the declarations), their
+    relation constants (_constants, steady_state.relation_columns) and the
+    declared gain values. A pipe that PipeParams or friction_factor
+    refuses raises, while the compile is made, the first error of a
+    pipe-by-pipe build (_pipe_params in pipe_ids order). Where an
+    intermediate overflows or underflows, the columns keep the IEEE
+    result that Python's floats give the per-pipe formulas. params, the
     PipeParams of every pipe, is made on first read: the oracle path
     (members_at) reads it, the build does not.
 
@@ -636,9 +621,10 @@ class CompiledNetwork:
     def __init__(self, spec: NetworkSpec):
         self.spec = spec
         self.pipe_ids = [pid for el in spec.elements for pid in el.members]
-        self._constants = _pipe_constants([spec.pipes[pid] for pid in self.pipe_ids], spec.gas)
-        if self._constants is None:
-            self.params  # the per-pipe route raises the first pipe fault, in pipe_ids order
+        self._columns = _pipe_columns([spec.pipes[pid] for pid in self.pipe_ids])
+        # Python's floats overflow to inf and underflow to subnormals or 0 without a word
+        with np.errstate(over="ignore", under="ignore"):
+            self._constants = relation_columns(spec.gas.T_0, *self._columns, spec.gas)
         gains = [el for el in spec.elements if el.kind == "gain"]
         self._gain_index = {g.name: i for i, g in enumerate(gains)}
         self.gains = tuple(g.k for g in gains)
@@ -668,7 +654,8 @@ class CompiledNetwork:
         of pipe_ids). links: (right end, left end); inputs: one end each. An
         end is (element, member position, flange, input, output index), the
         indices counted over the network (composites.port_index). pipes: per
-        pipe (declared q, declared pl, own nominal?, relation_constants).
+        pipe (declared q, declared pl, own nominal?, coef, grav), the last two
+        its relation constants (_constants).
         Raises the label route's ConfigurationErrors (_port,
         interconnect._check_flanges) for an unknown element or port and for
         a link's flanges, then for a pipe with no nominal.
@@ -694,15 +681,11 @@ class CompiledNetwork:
         for right, left in links:
             _check_flanges(right[2], left[2])
         pipes, default = [], spec.nominals.get("*")
-        constants = (None if self._constants is None
-                     else zip(*(c.tolist() for c in self._constants[:2])))
-        for pid in self.pipe_ids:
+        for pid, coef, grav in zip(self.pipe_ids, *(c.tolist() for c in self._constants)):
             nom = spec.nominals.get(pid, default)
             if nom is None:
                 raise ConfigurationError(f"no nominal point for pipe {pid!r}")
-            pipes.append((nom.q, nom.pl, pid in spec.nominals,
-                          *(relation_constants(spec.gas.T_0, self.params[pid], spec.gas)
-                            if constants is None else next(constants))))
+            pipes.append((nom.q, nom.pl, pid in spec.nominals, coef, grav))
         return elements, links, inputs, pipes
 
     @cached_property
@@ -883,10 +866,12 @@ class CompiledNetwork:
 
     @cached_property
     def _iso(self) -> IsoTable:
-        """The pipes' linearization constants as arrays, in pipe_ids order."""
-        if self._constants is not None:
-            return self._constants[2]
-        return IsoTable([self.params[pid] for pid in self.pipe_ids], self.spec.gas)
+        """The pipes' linearization constants as arrays, in pipe_ids order, made on the first fill.
+
+        numpy warns where a value leaves the float range (A_c * L of a pipe
+        with L = 1e-320), and only a build that gets this far prints it.
+        """
+        return IsoTable.of_columns(*self._columns, self.spec.gas)
 
     def _table(self, q, p_l, declared: bool = False):
         """The (K, 4 P) pipe table of NodeRule at pipe flows q and (K, P) inlet pressures p_l.

@@ -37,7 +37,8 @@ range of update and its slope: the solve raises NumericalError.
 exact_root is the solve on (base, c, grav): exact_nominal_pr for one
 pipe, and netspec.CompiledNetwork (spread once per pipe and gain value,
 and the declared nominals of the build and the oracle path), with coef
-and grav held per pipe (relation_constants).
+and grav held per pipe (relation_constants, or relation_columns for many
+pipes at once).
 """
 
 from __future__ import annotations

@@ -2,13 +2,14 @@
 
 CompiledNetwork computes the friction factor, A_c, the relation
 constants and the IsoTable of all pipes as columns in one pass
-(netspec._pipe_columns, netspec._pipe_constants) and makes its labels from
-each element kind's cached plan (composites.network_labels). Each must be
-what the per-pipe route gives, bit for bit: _pipe_params,
-relation_constants, IsoTable over PipeParams and SignalLabel(...), with the
-same first error.
+(netspec._pipe_columns, steady_state.relation_columns,
+IsoTable.of_columns) and makes its labels from each element kind's cached
+plan (composites.network_labels). Each must be what a pipe-by-pipe build
+gives, bit for bit: _pipe_params, relation_constants, IsoTable over
+PipeParams and SignalLabel(...), with the same first error.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -120,6 +121,9 @@ def three_pipes(second, third):
             "link P1.r P2.l\nlink P2.r P3.l\ninput up = P1.l\ninput uq = P3.r\n")
 
 
+DIAMETER = "pipe diameter d must keep A_c**2 finite and 2*d*A_c**2 nonzero, got {!r}"
+
+
 @pytest.mark.parametrize("second, third, message", [
     ("L=0", "d=-1", "pipe length L must be strictly positive"),
     ("L=-5", "eps=-1", "pipe length L must be strictly positive"),
@@ -133,8 +137,15 @@ def three_pipes(second, third):
     ("eps=1e300", "L=0", "invalid friction regime"),  # Haaland's power overflows
     ("L=inf", "d=0", "pipe length L must be finite, got inf"),
     ("dh=-inf", "L=0", "elevation change h must be finite, got -inf"),
+    # 2 d A_c^2 underflows to zero; Haaland would refuse these first, so lambda is given
+    ("d=1e-66 lambda=0.01", "L=0", DIAMETER.format(1e-66)),
+    ("d=1e-200 lambda=0.01", "d=-1", DIAMETER.format(1e-200)),
+    # A_c^2 overflows, and for d=1e200 d^2 too
+    ("d=1e78", "eps=-1", DIAMETER.format(1e78)),
+    ("d=1e200", "krad=-1", DIAMETER.format(1e200)),
 ], ids=["L_zero", "L_negative", "d_zero", "d_zero_lambda", "dout_below_d", "eps_negative", "krad_negative",
-        "lambda_zero", "lambda_negative", "haaland_overflow", "L_inf", "dh_inf"])
+        "lambda_zero", "lambda_negative", "haaland_overflow", "L_inf", "dh_inf", "d_1e-66",
+        "d_1e-200", "d_1e78", "d_1e200"])
 def test_first_pipe_fault(second, third, message):
     # the fault of the second pipe is raised, as the per-pipe loop raises it,
     # by the build, the oracle path and the params of the compile
@@ -149,15 +160,16 @@ def test_first_pipe_fault(second, third, message):
         assert str(err.value) == message
 
 
-def test_nan_pipe_values_take_the_per_pipe_route():
+def test_nan_pipe_values_build_from_the_columns():
     # nan passes PipeParams' range checks where it passes them today: eps and
-    # d_out are not refused, and the model is the per-pipe route's
+    # d_out are not refused, and A is the one a pipe-by-pipe build gives, bit for bit
     spec = pn.parse(three_pipes("dout=nan", "lambda=0.01"))
     net = netspec.CompiledNetwork(spec)
-    assert net._constants is None
     assert np.isnan(net.params["P2"].d_out)
     model = pn.build_closed(spec)
     assert model.A.shape == (6, 6)
+    assert hashlib.sha256(model.A.tobytes()).hexdigest() == (
+        "637b9446d6098dfa0f9827ec888a133614ae3efbdefeeb2bc8fcb4a2c87aafbe")
 
 
 def plan_reference(kind, member_ids):
