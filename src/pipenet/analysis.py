@@ -138,7 +138,9 @@ def _min_eigenvalue_modulus(lu) -> float:
     vector, for at most _ARNOLDI_STEPS steps: the largest Ritz value of
     the inverse converges first to its largest eigenvalue, 1/lambda. With
     at most _ARNOLDI_STEPS states the Krylov space is the whole space and
-    the result is exact up to rounding. A solve that overflows returns 0.
+    the result is exact up to rounding. A step that overflows, in the solve,
+    the projections or the norm, returns 0: the inverse has an eigenvalue
+    beyond the float range.
     """
     from scipy.linalg import lu_solve  # deferred: import pipenet loads numpy only
 
@@ -150,13 +152,14 @@ def _min_eigenvalue_modulus(lu) -> float:
     V[0] = v / np.linalg.norm(v)
     for j in range(m):
         w = lu_solve(lu, V[j], check_finite=False)
-        if not np.all(np.isfinite(w)):
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow returns 0 below
+            for _ in range(2):  # classical Gram-Schmidt, repeated once for orthogonality
+                h = V[:j + 1] @ w
+                w -= h @ V[:j + 1]
+                H[:j + 1, j] += h
+            beta = np.linalg.norm(w)
+        if not (np.isfinite(beta) and np.isfinite(H[:j + 1, j]).all()):
             return 0.0
-        for _ in range(2):  # classical Gram-Schmidt, repeated once for orthogonality
-            h = V[:j + 1] @ w
-            w -= h @ V[:j + 1]
-            H[:j + 1, j] += h
-        beta = np.linalg.norm(w)
         if j + 1 == m or beta == 0.0:  # beta = 0: the Krylov space is invariant
             break
         H[j + 1, j] = beta

@@ -504,7 +504,7 @@ class NodeRule:
                 for _, _, cols, slots in self._patterns[:matrices]], delta
 
 
-def coefficient_row(pipes, gas: GasProperties | None):
+def coefficient_row(pipes, gas: GasProperties):
     """The one-lane (1, 4 P) coefficient table of NodeRule.fill for (PipeParams, OperatingPoint) pairs.
 
     Takes iso_coefficients pipe by pipe; pipe_dynamics.IsoTable gives the
@@ -524,15 +524,17 @@ def _rule(kind: str, n: int) -> NodeRule:
     return NodeRule([(kind, n)], [("u", i) for i in range(n_inputs)], n_inputs)
 
 
-def _assemble(kind: str, pipes, gas: GasProperties | None, member_ids,
-              gains=()) -> CompositeModel:
+def _assemble(kind: str, coef, member_ids, gains=()) -> CompositeModel:
     """One element as its own network: the node rule with every input external.
 
-    gains holds k for a gain element and is empty otherwise.
+    coef is the element's one-lane (1, 4 P) coefficient table (NodeRule.fill):
+    coefficient_row of its member pipes for make_*, or the element's slice
+    of the compiled network's checked table (netspec.build_elements). gains
+    holds k for a gain element and is empty otherwise.
     """
     member_ids = tuple(member_ids)
     states, inputs, outputs, ports = element_signals(kind, member_ids)
-    A, B, C, D, delta = _rule(kind, len(member_ids)).fill(coefficient_row(pipes, gas), [gains])
+    A, B, C, D, delta = _rule(kind, len(member_ids)).fill(coef, [gains])
     model = StateSpaceModel(A[0], B[0], C[0], D[0], states, inputs, outputs)
     return CompositeModel(model, kind, member_ids, ports,
                           delta=float(delta[0, 0]) if delta.size else None)
@@ -592,7 +594,7 @@ def check_gain(k: float):
 def make_pipe(params: PipeParams, op: OperatingPoint, gas: GasProperties,
               element_id: str = "P") -> CompositeModel:
     """Single isothermal pipe wrapped as a network element."""
-    return _assemble("pipe", [(params, op)], gas, (element_id,))
+    return _assemble("pipe", coefficient_row([(params, op)], gas), (element_id,))
 
 
 def make_joint(pipe0, pipe1, pipe2, gas: GasProperties,
@@ -612,7 +614,7 @@ def make_joint(pipe0, pipe1, pipe2, gas: GasProperties,
     outputs [p_0r, q_1l, q_2l].
     """
     check_members("joint", [op for _, op in (pipe0, pipe1, pipe2)], check_nominal)
-    return _assemble("joint", (pipe0, pipe1, pipe2), gas, member_ids)
+    return _assemble("joint", coefficient_row((pipe0, pipe1, pipe2), gas), member_ids)
 
 
 def make_branch(pipe0, pipe1, pipe2, gas: GasProperties,
@@ -624,7 +626,7 @@ def make_branch(pipe0, pipe1, pipe2, gas: GasProperties,
     outputs [p_1r, p_2r, q_0l].
     """
     check_members("branch", [op for _, op in (pipe0, pipe1, pipe2)], check_nominal)
-    return _assemble("branch", (pipe0, pipe1, pipe2), gas, member_ids)
+    return _assemble("branch", coefficient_row((pipe0, pipe1, pipe2), gas), member_ids)
 
 
 def make_series(pipes, gas: GasProperties, member_ids=None,
@@ -645,10 +647,10 @@ def make_series(pipes, gas: GasProperties, member_ids=None,
     if len(member_ids) != N:
         raise ConfigurationError("series needs one id per member pipe")
     check_members("series", [op for _, op in pipes], check_nominal)
-    return _assemble("series", pipes, gas, member_ids)
+    return _assemble("series", coefficient_row(pipes, gas), member_ids)
 
 
 def make_gain(k: float, element_id: str = "G") -> CompositeModel:
     """Static two-port gain (compressor or valve): p_r = k p_l, q_l = q_r."""
     check_gain(k)
-    return _assemble("gain", (), None, (element_id,), (k,))
+    return _assemble("gain", [[]], (element_id,), (k,))

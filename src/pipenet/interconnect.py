@@ -7,7 +7,10 @@ each input along its sources with the whole-network node rule
 (composites.NodeRule); it forms no (I - D F)^-1. The oracle path wires
 the same way over port labels (_drivers).
 
-The oracle path is stack -> build_FG -> close: the element models are
+The oracle path is stack -> build_FG -> close. Its element models are
+the build's element data: each element's own node rule filled from its
+slice of the build's checked pipe table (netspec.build_elements), so the
+two paths differ only in the interconnection. The element models are
 stacked block-diagonally, 0/1 connection matrices F (component outputs ->
 component inputs) and G (external inputs -> component inputs) route the
 inputs, and the interconnection is eliminated in closed form:

@@ -38,7 +38,7 @@ table is a set of columns, on one route: one pass over the pipe
 declarations gives every pipe's friction factor and A_c as arrays
 (_pipe_columns), screened by the one rule for a valid pipe
 (core.PIPE_RULES), and from them the relation constants and the
-IsoTable; the build makes no PipeParams. The compile resolves and checks
+IsoTable; no path makes a PipeParams. The compile resolves and checks
 each link and input end once, beside each pipe's declared nominal; the
 node graph, the labels (from each element kind's cached plan) and the
 node rule pattern (composites.NodeRule) are built from that, and no
@@ -46,10 +46,13 @@ label is looked up by its rendered text. Fills
 evaluate the pattern from the pipe table (pipe_dynamics.IsoTable):
 spread and fill_spread at K rows of gain values at once (a gain sweep,
 one table per chunk), model at one operating point (build_closed,
-network_steady_state). build_elements and elaborate keep the
-per-element models of the oracle path (interconnect.close,
-analysis.mason_check), which reads the PipeParams that
-CompiledNetwork.params makes on first read.
+network_steady_state). The oracle path (build_elements, elaborate;
+interconnect.close, analysis.mason_check) takes the same one-point
+table after the same checks (CompiledNetwork.checked_table) and fills
+each element's own node rule from its slice. So the two routes share
+the element data and the checks, and differ only in the
+interconnection: the whole-network node rule against stack, build_FG
+and close, which `pipenet mason` compares.
 """
 
 from __future__ import annotations
@@ -64,10 +67,13 @@ from functools import cached_property
 import numpy as np
 
 from . import core
-from .composites import (NOMINAL_RTOL, CompositeModel, NodeRule, _check_junctions, _layout,
-                         check_flows, check_gain, input_labels, make_branch,
-                         make_gain, make_joint, make_pipe, make_series, network_labels,
+from .composites import (NOMINAL_RTOL, CompositeModel, NodeRule, _assemble, _check_junctions,
+                         _layout, check_flows, check_gain, input_labels, network_labels,
                          port_index)
+# the make_* constructors stay importable here although nothing here calls them:
+# perfbench/tracer.py wraps netspec.make_pipe, make_joint, make_branch, make_series
+# and make_gain by name
+from .composites import make_branch, make_gain, make_joint, make_pipe, make_series  # noqa: F401
 from .core import PIPE_RULES, GasProperties, OperatingPoint, PipeParams, SignalLabel, StateSpaceModel
 from .errors import ConfigurationError, DomainError, ParseError
 from .friction import friction_factor
@@ -601,8 +607,9 @@ class CompiledNetwork:
     pipe-by-pipe build (_pipe_params in pipe_ids order). Where an
     intermediate overflows or underflows, the columns keep the IEEE
     result that Python's floats give the per-pipe formulas. params, the
-    PipeParams of every pipe, is made on first read: the oracle path
-    (members_at) reads it, the build does not.
+    PipeParams of every pipe, is made on first read; neither the build
+    nor the oracle path reads it. It stays as the per-pipe reference that
+    the tests check the columns and the table against.
 
     On first use it reads the spec once (_resolved): the ends of the links
     and inputs, checked, and per pipe its declared nominal and relation
@@ -638,7 +645,7 @@ class CompiledNetwork:
 
     @cached_property
     def params(self) -> dict:
-        """Pipe id -> PipeParams, in pipe_ids order; made on first read (the oracle path)."""
+        """Pipe id -> PipeParams, in pipe_ids order; made on first read (the per-pipe reference)."""
         return {pid: _pipe_params(self.spec.pipes[pid]) for pid in self.pipe_ids}
 
     @property
@@ -815,31 +822,6 @@ class CompiledNetwork:
         return self._closure[3].fill(self._table(spread.q, spread.p_l.T), spread.gains,
                                      matrices=1)[0]
 
-    def members_at(self, ops=None):
-        """Per element: its declaration, the (params, op) of its member pipes, and
-        whether the composites' nominal checks apply.
-
-        With ops (pipe id -> OperatingPoint) the checks are off. Without
-        them each pipe sits at its declared nominal as _resolved holds it,
-        its exit pressure solved as the build solves it (_exit_pressure on
-        the held relation constants), and a composite is checked only when
-        each member has its own nominal statement ('*' defaults are not
-        checked). So the oracle path, like the build, reads the links, the
-        inputs and the nominals before it solves any pipe.
-        """
-        if ops is not None:
-            for el in self.spec.elements:
-                yield el, [(self.params[pid], ops[pid]) for pid in el.members], False
-            return
-        elements, _, _, declared = self._resolved
-        T_0 = self.spec.gas.T_0
-        for el, (_, _, _, span) in zip(self.spec.elements, elements):
-            rows = declared[span]
-            points = [OperatingPoint(pl, _exit_pressure(pl, coef * q * abs(q), grav), q, T_0, T_0)
-                      for q, pl, _, coef, grav in rows]
-            pipes = [(self.params[pid], op) for pid, op in zip(el.members, points)]
-            yield el, pipes, all(row[2] for row in rows)
-
     @cached_property
     def _closure(self):
         """(state labels, input names, output labels, node rule) of the closed model.
@@ -873,43 +855,61 @@ class CompiledNetwork:
         """
         return IsoTable.of_columns(*self._columns, self.spec.gas)
 
-    def _table(self, q, p_l, declared: bool = False):
+    def _table(self, q, p_l):
         """The (K, 4 P) pipe table of NodeRule at pipe flows q and (K, P) inlet pressures p_l.
 
-        First checks each composite as make_* would, in declaration order:
-        at the declared nominal its members' exit pressures (_exit_pressure),
-        its member flows, and its junctions if each member has its own
-        nominal. The pipe table (_iso) equals composites.coefficient_row
-        bit for bit.
+        First checks each composite's member flows (composites.check_flows),
+        in declaration order. The pipe table (_iso) equals
+        composites.coefficient_row bit for bit.
         """
+        for kind, _, _, pipes in self._resolved[0]:
+            if kind != "pipe" and kind != "gain":  # no member checks
+                check_flows(kind, q[pipes])
+        return self._iso.at(q, p_l)
+
+    def checked_table(self, ops=None, gains=None) -> np.ndarray:
+        """The (1, 4 P) pipe table at ops (default: the declared nominals), after the build's checks.
+
+        Both routes read it: model fills the whole network's node rule from
+        it, build_elements each element's own rule from its slice. The
+        checks run in one order: the wiring (_closure), every k of gains
+        (default: the declared ones), then each composite in declaration
+        order, as make_* would check it. At ops that is its member flows
+        (_table). At the declared nominal it is its members' exit pressures
+        (_exit_pressure), its member flows, and its junctions if each
+        member has its own nominal statement ('*' defaults are not checked).
+        """
+        self._closure
+        for k in self.gains if gains is None else gains:
+            check_gain(k)
+        if ops is not None:
+            points = [ops[pid] for pid in self.pipe_ids]
+            return self._table([op.q_ss for op in points], [[op.p_l_ss for op in points]])
         elements, _, _, nominal = self._resolved
+        q = [row[0] for row in nominal]
         for kind, _, _, pipes in elements:
-            rows = nominal[pipes] if declared else ()
+            rows = nominal[pipes]
             p_r = [_exit_pressure(pl, coef * flow * abs(flow), grav)
                    for flow, pl, _, coef, grav in rows]
             if kind == "pipe" or kind == "gain":  # no member checks
                 continue
             check_flows(kind, q[pipes])
-            if declared and all(row[2] for row in rows):
+            if all(row[2] for row in rows):
                 _check_junctions(kind, q[pipes], [row[1] for row in rows], p_r)
-        return self._iso.at(q, p_l)
+        return self._iso.at(q, [[row[1] for row in nominal]])
 
     def model(self, ops=None, gains=None) -> StateSpaceModel:
         """The closed network model at ops and gains (default: declared nominals and gains).
 
-        Checks every k first, as spread does, then the pipes (_table), and
-        takes the node rule's model of one lane: it holds A and C as the
-        fill's entries and makes them dense on first read (NodeRule.model).
-        Equals close(*elaborate(spec, steady)) with the inputs named, where
-        steady carries ops.
+        Checks as checked_table does, and takes the node rule's model of
+        its one lane: it holds A and C as the fill's entries and makes them
+        dense on first read (NodeRule.model). Equals
+        close(*elaborate(spec, steady)) with the inputs named, where steady
+        carries ops.
         """
-        states, inputs, outputs, rule = self._closure
         gains = self.gains if gains is None else gains
-        for k in gains:
-            check_gain(k)
-        points = (self._resolved[3] if ops is None
-                  else [(ops[pid].q_ss, ops[pid].p_l_ss) for pid in self.pipe_ids])
-        coef = self._table([p[0] for p in points], [[p[1] for p in points]], ops is None)
+        coef = self.checked_table(ops, gains)
+        states, inputs, outputs, rule = self._closure
         return rule.model(coef, [gains], states, inputs, outputs)
 
 
@@ -946,43 +946,34 @@ def network_steady_state(spec: NetworkSpec) -> NetworkSteadyState:
 
 def build_elements(spec: NetworkSpec,
                    steady: NetworkSteadyState | None = None) -> list[CompositeModel]:
-    """Instantiate every element model in declaration order (the oracle path).
+    """Every element model in declaration order (the oracle path).
 
+    The element data are the build's: one checked pipe table
+    (CompiledNetwork.checked_table), so both paths check the same things
+    in the same order and raise the same first error. Each element is
+    its own node rule filled from its slice of that table
+    (composites._assemble); a gain takes its k from CompiledNetwork.gains.
     With steady (from network_steady_state) every pipe is linearized at
     its gain-aware operating point; that pass reports the constraints it
-    leaves unmet, so the composites' own nominal checks are off. Without
-    it each pipe is linearized at its declared nominal, and a composite
-    checks consistency only when each member has its own nominal
-    statement ('*' defaults are not checked).
-
-    Checks in the build's order (CompiledNetwork.model): first the wiring
-    (_closure), then every k, then each element as it is made, so both
-    paths raise the same first error.
+    leaves unmet, so the composites' nominal checks are off. Without it
+    each pipe is linearized at its declared nominal.
     """
-    out = []
-    ops = None if steady is None else steady.ops
     net = CompiledNetwork(spec)
-    net._closure
-    for k in net.gains:
-        check_gain(k)
-    for el, pipes, check in net.members_at(ops):
-        if el.kind == "gain":
-            out.append(make_gain(el.k, el.name))
-        elif el.kind == "pipe":
-            out.append(make_pipe(*pipes[0], spec.gas, el.name))
-        elif el.kind == "series":  # its pipes as one list; a joint's and a branch's as three
-            out.append(make_series(pipes, spec.gas, member_ids=el.members, check_nominal=check))
-        else:
-            make = make_joint if el.kind == "joint" else make_branch
-            out.append(make(*pipes, spec.gas, member_ids=el.members, check_nominal=check))
-    return out
+    coef = net.checked_table(None if steady is None else steady.ops)
+    gains = iter(net.gains)
+    return [_assemble(kind, coef[:, 4 * pipes.start:4 * pipes.stop], ids,
+                      (next(gains),) if kind == "gain" else ())
+            for kind, ids, _, pipes in net._resolved[0]]
 
 
 def elaborate(spec: NetworkSpec, steady: NetworkSteadyState | None = None):
     """Build the stacked open-loop system and its connection matrices.
 
-    This is the oracle path (interconnect.close, analysis.mason_check);
-    build_closed does not use it. steady is passed on to build_elements.
+    This is the oracle path (interconnect.close, analysis.mason_check):
+    its element models (build_elements) come from the build's checked
+    pipe table, and its interconnection is stack and build_FG, where
+    build_closed runs the node rule over the whole graph. steady is
+    passed on to build_elements.
     """
     composites = build_elements(spec, steady)
     stacked = stack([c.model for c in composites])

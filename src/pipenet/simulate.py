@@ -205,11 +205,13 @@ def _expm(A: np.ndarray, max_squarings: float = math.inf):
 def zoh_discretize(model: StateSpaceModel, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact ZOH discretization (Ad, Bd) of (A, B) at step dt.
 
-    Phi = e^{[A B; 0 0] dt} holds Ad and Bd; it is computed by expm
-    (Al-Mohy & Higham 2009). A Phi that is not finite is a NumericalError,
-    and so is a dt that needs more than _MAX_SQUARINGS squarings, whose
-    rounding could grow past _SQUARING_RTOL relative (on the demo loop
-    that happens between dt = 1e8 s and 1e9 s).
+    Phi = e^{[A B; 0 0] dt} holds Ad and Bd. A is placed from the model's
+    nonzero entries (StateSpaceModel.entries), whatever the model holds.
+    Phi is computed by expm (Al-Mohy & Higham 2009). A Phi that is not
+    finite is a NumericalError, and so is a dt that needs more than
+    _MAX_SQUARINGS squarings, whose rounding could grow past
+    _SQUARING_RTOL relative (on the demo loop that happens between
+    dt = 1e8 s and 1e9 s).
     Entries of magnitude below np.finfo(float).tiny (subnormals) are set to
     0.0, so that stepping with Ad and Bd runs at full BLAS speed; see the
     module docstring for the bound on what this changes.
@@ -218,11 +220,8 @@ def zoh_discretize(model: StateSpaceModel, dt: float) -> tuple[np.ndarray, np.nd
         raise ConfigurationError("time step must be positive and finite")
     n, m = model.n_states, model.n_inputs
     aug = np.zeros((n + m, n + m))
-    if "A" in vars(model):  # a dense A, given or already read
-        aug[:n, :n] = model.A
-    else:  # a model of the node rule: its entries, which a dense A is made from
-        entries = model.entries
-        aug[entries.rows, entries.cols] = entries.values
+    entries = model.entries  # lti_rows reads them too
+    aug[entries.rows, entries.cols] = entries.values
     aug[:n, n:] = model.B
     aug *= dt
     with np.errstate(over="ignore", invalid="ignore"):  # reported just below

@@ -3,6 +3,7 @@ import pytest
 
 import pipenet as pn
 from pipenet import steady_state
+from pipenet.netspec import CompiledNetwork
 
 LOOP_TEXT = """\
 gas Rs=518.28 z0=0.95 T0=300
@@ -67,6 +68,22 @@ def loop_spec():
 @pytest.fixture(scope="session")
 def loop_model(loop_spec):
     return pn.build_closed(loop_spec)
+
+
+def declared_pipes(spec):
+    """Pipe id -> (PipeParams, OperatingPoint) at its declared nominal, by the one-pipe API.
+
+    In CompiledNetwork.pipe_ids order: PipeParams from the compile's
+    params, the operating point from steady_state.isothermal_nominal.
+    """
+    params = CompiledNetwork(spec).params
+    default = spec.nominals.get("*")
+    pipes = {}
+    for pid, par in params.items():
+        nom = spec.nominals.get(pid, default)
+        pipes[pid] = par, steady_state.isothermal_nominal(nom.pl, nom.q, spec.gas.T_0, par,
+                                                         spec.gas)
+    return pipes
 
 
 def random_pipe(rng, gas):

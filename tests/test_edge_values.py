@@ -1,4 +1,4 @@
-"""`pipenet build` on one pipe with a value at the edge of the float range.
+"""`pipenet build` and `dcgain` on one pipe with a value at the edge of the float range.
 
 The compile takes every pipe's constants as columns. Where an
 intermediate underflows to a subnormal or zero, or overflows, the columns
@@ -6,12 +6,14 @@ must give the IEEE result that Python's float arithmetic gives the
 per-pipe formulas: some of these pipes build (with inf in A for
 L = 1e-320), others end in the steady-state solve. A diameter whose A_c^2
 overflows, or whose 2 d A_c^2 is zero, is refused as PipeParams refuses it.
+A gas constant of 1e-200 builds a finite A whose DC gain has a pole at zero.
 """
 
 import hashlib
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -87,3 +89,21 @@ def test_diameter_out_of_range_exit_one(tmp_path, capsys, fault):
     assert captured.err == (f"error: pipe diameter d must keep A_c**2 finite and 2*d*A_c**2 "
                             f"nonzero, got {d!r}\n")
     assert not list(tmp_path.glob("m.*"))
+
+
+@pytest.mark.parametrize("key", ["Rs", "z0", "T0"])
+@pytest.mark.parametrize("flows_only", [False, True], ids=["outputs", "flows_only"])
+def test_tiny_gas_constant_dcgain_is_a_pole_at_zero(tmp_path, capsys, key, flows_only):
+    # A is finite, |lambda| ~ 1.7e-100 <= eps ||A||_1, but the Arnoldi step on A^-1
+    # overflows: that is the pole at zero, with no numpy warning and no traceback
+    gas = {"Rs": "518.28", "z0": "0.95", "T0": "300", key: "1e-200"}
+    path = tmp_path / "gas.pipenet"
+    path.write_text(TEXT.replace("gas Rs=518.28 z0=0.95 T0=300",
+                                 "gas " + " ".join(f"{k}={v}" for k, v in gas.items())))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = cli.main(["dcgain", *(["--flows-only"] if flows_only else []), str(path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: system has a pole at zero; DC gain undefined\n"

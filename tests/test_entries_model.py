@@ -16,7 +16,7 @@ import pipenet as pn
 from pipenet import analysis, composites, core, netspec
 from pipenet.core import ModelEntries
 
-from conftest import chain_text, mesh_text
+from conftest import chain_text, declared_pipes, mesh_text
 
 DEMO = os.path.join(os.path.dirname(__file__), "..", "demos", "loop.pipenet")
 
@@ -46,7 +46,7 @@ def same_bits(a, b):
 def dense_fill(spec):
     """The one-lane A, B, C and D that NodeRule.fill scatters for build_closed(spec)."""
     net = netspec.CompiledNetwork(spec)
-    pipes = [pipe for _, members, _ in net.members_at() for pipe in members]
+    pipes = list(declared_pipes(spec).values())
     stacks = net._closure[3].fill(composites.coefficient_row(pipes, spec.gas), [net.gains])
     return [m[0] for m in stacks[:4]]
 

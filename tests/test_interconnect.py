@@ -10,7 +10,7 @@ import pipenet as pn
 from pipenet import analysis, composites, interconnect, netspec, steady_state
 from pipenet.errors import ConfigurationError
 
-from conftest import random_pipe
+from conftest import declared_pipes, mesh_text, random_pipe
 
 
 @pytest.fixture
@@ -193,6 +193,43 @@ def test_build_closed_matches_close(oracle_specs):
                 assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
 
 
+def _make(el, pipes, gas):
+    """The public constructor's model of one element declaration, nominal checks off."""
+    if el.kind == "gain":
+        return composites.make_gain(el.k, el.name)
+    if el.kind == "pipe":
+        return composites.make_pipe(*pipes[el.name], gas, el.name)
+    members = [pipes[pid] for pid in el.members]
+    if el.kind == "series":
+        return composites.make_series(members, gas, el.members, check_nominal=False)
+    make = composites.make_joint if el.kind == "joint" else composites.make_branch
+    return make(*members, gas, el.members, check_nominal=False)
+
+
+@pytest.mark.parametrize("at", ["declared", "steady_state"])
+def test_oracle_elements_equal_the_public_constructors(oracle_specs, at):
+    # build_elements fills each element from its slice of the build's pipe table;
+    # make_* takes iso_coefficients pipe by pipe at the one-pipe API's operating points
+    for spec in [*oracle_specs, pn.parse(mesh_text(25, np.random.default_rng(13)))]:
+        if at == "declared":
+            steady, pipes = None, declared_pipes(spec)
+        else:
+            steady = pn.network_steady_state(spec)
+            pipes = {pid: (par, steady.ops[pid])
+                     for pid, par in netspec.CompiledNetwork(spec).params.items()}
+        elements = netspec.build_elements(spec, steady)
+        assert len(elements) == len(spec.elements)
+        for el, got in zip(spec.elements, elements):
+            ref = _make(el, pipes, spec.gas)
+            assert (got.kind, got.member_ids, got.ports) == (ref.kind, ref.member_ids, ref.ports)
+            assert repr(got.delta) == repr(ref.delta)
+            for name in ("A", "B", "C", "D"):
+                a, b = getattr(got.model, name), getattr(ref.model, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (el.name, name)
+            for name in ("state_labels", "input_labels", "output_labels"):
+                assert getattr(got.model, name) == getattr(ref.model, name)
+
+
 def test_mason_check_takes_the_build_path_model(loop_spec):
     stacked, conn = pn.elaborate(loop_spec)
     omegas = analysis.log_grid(1e-3, 1e3, 7)
@@ -270,11 +307,12 @@ def test_build_closed_wiring_errors_match_build_fg(edit, message):
     assert str(fast.value) == str(oracle.value)
 
 
-def test_build_closed_loads_numpy_only():
-    # keeps the loop sweep free of scipy's import and memory
+@pytest.mark.parametrize("build", ["build_closed", "elaborate"])
+def test_build_closed_loads_numpy_only(build):
+    # keeps the loop sweep, and the oracle path's assembly, free of scipy's import and memory
     src = os.path.dirname(os.path.dirname(pn.__file__))
     demo = os.path.join(os.path.dirname(__file__), "..", "demos", "loop.pipenet")
-    code = ("import sys, pipenet; pipenet.build_closed(pipenet.load(sys.argv[1])); "
+    code = (f"import sys, pipenet; pipenet.{build}(pipenet.load(sys.argv[1])); "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     out = subprocess.run([sys.executable, "-c", code, demo], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True).stdout
