@@ -15,10 +15,10 @@ ignored, and each statement is one line:
 
 One statement table drives parse and render: a NUMBERS row gives the
 keys of pipe, gain and nominal (each takes a number), a COMPOSITES row
-the keys of joint, branch and series (each takes pipe ids). Every
-element declaration carries its kind and its member pipes, which is
-all the element dispatch reads. Outputs are not declared in the text;
-`pipenet build --select` chooses them.
+the keys of joint, branch and series (each takes pipe ids), and GAS the
+keys of gas (numbers). Every element declaration carries its kind and
+its member pipes, which is all the element dispatch reads. Outputs are
+not declared in the text; `pipenet build --select` chooses them.
 
 Links name a right-flange port first and a left-flange port second.
 Pipes consumed by a joint, branch or series are parameter donors only;
@@ -26,9 +26,15 @@ they are not elements and may not be linked directly. Element
 declaration order determines state ordering, so identical files yield
 identical matrices.
 
-The parser takes each statement in one pass over its tokens (a port
-reference is one regular-expression match) and re-reads a malformed
-statement only to raise its errors in their order.
+The parser reads each key=value statement (gas and every NUMBERS and
+COMPOSITES row) in one pass over its tokens (_parse_kv), and a port
+reference in one regular-expression match. Its rule for errors: the
+first faulty line is reported, and within a statement its first token
+fault as written (no '=', an unknown or repeated key, a bad number),
+then its first missing required key. The gas statement is converted at
+its own line, and a gas value out of range names that line. What needs
+the whole file comes after: a missing gas block, then the ends of each
+link, each input and each nominal's pipe, in that order.
 
 A parsed description is compiled once (CompiledNetwork), on integers:
 each element's inputs and outputs are numbered after those of the
@@ -138,6 +144,9 @@ NUMBERS = {
     "nominal": (NominalDecl, {"pl": "pl", "q": "q", "Tl": "Tl", "Tr": "Tr"}, ("pl", "q")),
 }
 
+# gas text key -> GasProperties field, in text order; Rs, z0 and T0 are required
+GAS = {"Rs": "R_s", "z0": "z_0", "T0": "T_0", "cv": "c_v", "Tamb": "T_amb"}
+
 # keyword -> (text key -> pipe count in text order, 0 for any; the keys in the
 # member order that make_<keyword> takes). A key of count 1 takes a bare id,
 # any other a bracketed list.
@@ -187,27 +196,30 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _parse_float(tok: str, line: int, key: str) -> float:
-    try:
-        return float(tok)
-    except ValueError:
-        raise ParseError(f"bad numeric value for {key}: {tok!r}", line) from None
+def _parse_kv(tokens, line, keys, required, convert=float):
+    """The fields of one key=value statement, in one pass over its tokens.
 
-
-def _parse_kv(tokens, line, allowed, required):
-    """Parse key=value tokens into a dict, enforcing the allowed key set."""
+    keys maps each text key to its field, and convert takes a value's
+    text. The first token fault is raised as written: a token with no
+    '=', an unknown or repeated key, or a value that convert refuses.
+    Then the first required key, in the order given, that is missing.
+    """
     out = {}
     for tok in tokens:
-        if "=" not in tok:
+        key, eq, val = tok.partition("=")
+        if not eq:
             raise ParseError(f"expected key=value, got {tok!r}", line)
-        key, _, val = tok.partition("=")
-        if key not in allowed:
+        field = keys.get(key)
+        if field is None:
             raise ParseError(f"unknown key {key!r}", line)
-        if key in out:
+        if field in out:
             raise ParseError(f"duplicate key {key!r}", line)
-        out[key] = val
+        try:
+            out[field] = convert(val)
+        except ValueError:
+            raise ParseError(f"bad numeric value for {key}: {val!r}", line) from None
     for key in required:
-        if key not in out:
+        if keys[key] not in out:
             raise ParseError(f"missing required key {key!r}", line)
     return out
 
@@ -238,42 +250,17 @@ def _parse_portref(tok: str, line: int) -> PortRef:
     raise ParseError(f"unknown port name {port!r}", line)
 
 
-def _parse_numbers(kind: str, name: str, args, line: int):
-    """The declaration of one NUMBERS statement, from its key=value tokens.
-
-    One pass takes each token's number. A statement that pass does not
-    take is read again by the checked path, which raises its errors in
-    their order: its keys (_parse_kv), then its values in the row's key
-    order.
-    """
-    cls, keys, required = NUMBERS[kind]
-    values = {}
-    for tok in args:
-        key, eq, val = tok.partition("=")
-        field = keys.get(key)
-        if not eq or field is None or field in values:
-            break
-        try:
-            values[field] = float(val)
-        except ValueError:
-            break
-    else:
-        for key in required:
-            if keys[key] not in values:
-                break
-        else:
-            return cls(name, **values)
-    kv = _parse_kv(args, line, keys, required)
-    return cls(name, **{field: _parse_float(kv[key], line, key)
-                        for key, field in keys.items() if key in kv})
-
-
 def _parse_decl(kind: str, name: str, args, line: int):
-    """The declaration of one NUMBERS or COMPOSITES statement, from its row."""
+    """The declaration of one NUMBERS or COMPOSITES statement, from its row.
+
+    A composite's keys are their own fields and keep their text; its pipe
+    ids are checked key by key after the key pass.
+    """
     if kind in NUMBERS:
-        return _parse_numbers(kind, name, args, line)
+        cls, keys, required = NUMBERS[kind]
+        return cls(name, **_parse_kv(args, line, keys, required))
     counts = COMPOSITES[kind][0]
-    kv = _parse_kv(args, line, counts, counts)
+    kv = _parse_kv(args, line, {key: key for key in counts}, counts, str)
     pipes = []
     for key, count in counts.items():
         ids = (_parse_id(kv[key], line),) if count == 1 else _parse_id_list(kv[key], line, key)
@@ -285,7 +272,7 @@ def _parse_decl(kind: str, name: str, args, line: int):
 
 def parse(text: str) -> NetworkSpec:
     """Parse a `.pipenet` document into a validated NetworkSpec."""
-    gas_kv = None
+    gas = None
     pipes: dict[str, PipeDecl] = {}
     elements: dict[str, object] = {}  # every declared element and pipe, by name, in order
     nominals: dict[str, NominalDecl] = {}
@@ -329,11 +316,15 @@ def parse(text: str) -> NetworkSpec:
                             f"pipe {pid!r} already used by {consumed[pid]!r}", lineno)
                     consumed[pid] = name
         elif kind == "gas":
-            if gas_kv is not None:
+            if gas is not None:
                 raise ParseError("duplicate gas block", lineno)
-            gas_kv = _parse_kv(tokens[1:], lineno, {"Rs", "z0", "T0", "cv", "Tamb"},
-                               ("Rs", "z0", "T0"))
-            gas_line = lineno
+            fields = _parse_kv(tokens[1:], lineno, GAS, ("Rs", "z0", "T0"))
+            fields.setdefault("c_v", _DEFAULT_CV)
+            fields.setdefault("T_amb", fields["T_0"])
+            try:
+                gas = GasProperties(**fields)
+            except DomainError as exc:
+                raise DomainError(f"line {lineno}: {exc}") from None
         elif kind == "nominal":
             if len(tokens) < 2:
                 raise ParseError("nominal needs a target", lineno)
@@ -353,13 +344,8 @@ def parse(text: str) -> NetworkSpec:
         else:
             raise ParseError(f"unknown statement {kind!r}", lineno, column=1)
 
-    if gas_kv is None:
+    if gas is None:
         raise ParseError("no gas block")
-    gkv = {k: _parse_float(v, gas_line, k) for k, v in gas_kv.items()}
-    T0 = gkv["T0"]
-    gas = GasProperties(R_s=gkv["Rs"], z_0=gkv["z0"],
-                        c_v=gkv.get("cv", _DEFAULT_CV), T_0=T0,
-                        T_amb=gkv.get("Tamb", T0))
 
     ports: dict[str, object] = {}  # element id -> port_index, of each element referenced
 
@@ -414,9 +400,8 @@ def _render_numbers(kind: str, head: str, decl) -> str:
 
 def render(spec: NetworkSpec) -> str:
     """Canonical text form; parse(render(parse(t))) == parse(t)."""
-    g = spec.gas
-    lines = [f"gas Rs={_fmt(g.R_s)} z0={_fmt(g.z_0)} T0={_fmt(g.T_0)} "
-             f"cv={_fmt(g.c_v)} Tamb={_fmt(g.T_amb)}"]
+    lines = ["gas " + " ".join(f"{key}={_fmt(getattr(spec.gas, field))}"
+                               for key, field in GAS.items())]
     for el in spec.elements:
         if el.kind in NUMBERS:
             lines.append(_render_numbers(el.kind, el.name, el))
@@ -1010,5 +995,10 @@ def override_gain(spec: NetworkSpec, element_id: str, k: float) -> NetworkSpec:
 
 
 def load(path) -> NetworkSpec:
-    with open(path, encoding="utf-8") as fh:
-        return parse(fh.read())
+    """Parse the network file at path: UTF-8 text, with or without a byte order mark."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        raise ParseError(f"network file {path} is not UTF-8 text") from None
+    return parse(text)

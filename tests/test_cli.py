@@ -111,6 +111,29 @@ def test_missing_file_exit_one(capsys):
     assert run(["build", "/nonexistent/x.pipenet"]) == 1
 
 
+def test_network_file_not_utf8_exit_one(tmp_path, capsys):
+    path = tmp_path / "latin1.pipenet"
+    path.write_bytes(("# débit nominal\n" + LOOP_TEXT).encode("latin-1"))
+    assert run(["build", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: network file {path} is not UTF-8 text\n"
+
+
+def test_network_file_with_bom_builds_as_without(loop_file, tmp_path, capsys):
+    bom = tmp_path / "bom.pipenet"
+    bom.write_bytes(b"\xef\xbb\xbf" + LOOP_TEXT.encode())
+    got = []
+    for path, prefix in ((loop_file, tmp_path / "dump-plain"),
+                         (str(bom), tmp_path / "dump-bom")):
+        assert run(["build", path, "--dump-matrices", str(prefix)]) == 0
+        captured = capsys.readouterr()
+        dumps = sorted(tmp_path.glob(f"{prefix.name}.*"))
+        got.append((captured.out, captured.err, [(p.suffixes, p.read_bytes()) for p in dumps]))
+    assert got[0] == got[1]
+    assert len(got[0][2]) == 4  # A, B, C and D
+
+
 def test_output_file_lf_endings(loop_file, tmp_path):
     out = tmp_path / "eig.csv"
     assert run(["eig", loop_file, "-o", str(out)]) == 0
@@ -435,7 +458,7 @@ def test_infinite_gas_or_pipe_value_exit_one(tmp_path, capsys, key):
     pipe = {"L": "10", "d": "0.7", "eps": "4.57e-5", "Re": "1.168e8"}
     if key in gas:
         gas[key] = "inf"
-        named = f"GasProperties.{INF_GAS[key]}"
+        named = f"line 1: GasProperties.{INF_GAS[key]}"
     else:
         if key != "Re":
             pipe["lambda"] = "0.01"

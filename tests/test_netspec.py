@@ -3,7 +3,7 @@ import pytest
 
 import pipenet as pn
 from pipenet import netspec
-from pipenet.errors import ConfigurationError, ParseError
+from pipenet.errors import ConfigurationError, DomainError, ParseError
 
 from conftest import LOOP_TEXT
 
@@ -220,12 +220,29 @@ ABC = AB + "pipe C L=10 d=0.7 lambda=0.01\n"
     (GAS + AB + "input up = A.l2\n", 4, "element 'A' has no port 'l2'"),
     (GAS + "pipe P L=abc d=0.7\n", 2, "bad numeric value for L: 'abc'"),
     (GAS + "gain G k=2 m=3\n", 2, "unknown key 'm'"),
+    # a statement's first token fault as written, ahead of a missing key or a later token
+    (GAS + "pipe P L=x m=1\n", 2, "bad numeric value for L: 'x'"),
+    (GAS + "pipe P L=x\n", 2, "bad numeric value for L: 'x'"),
+    (GAS + "pipe P d=y L=x\n", 2, "bad numeric value for d: 'y'"),
+    (GAS + "gain G k=x k=2\n", 2, "bad numeric value for k: 'x'"),
+    (GAS + "nominal * q=x\n", 2, "bad numeric value for q: 'x'"),
+    # the gas statement is read at its own line, ahead of a later line's fault
+    ("gas Rs=x z0=0.95 T0=300\npipe 9P L=10 d=0.7\n", 1, "bad numeric value for Rs: 'x'"),
+    ("gas Rs=518.28 z0=0.95 T0=y\n" + GAS, 1, "bad numeric value for T0: 'y'"),
 ])
 def test_parse_error_line_and_message(text, line, fragment):
     with pytest.raises(ParseError) as err:
         netspec.parse(text)
     assert err.value.line == line
     assert fragment in str(err.value)
+
+
+def test_gas_domain_error_names_its_line():
+    # a gas value out of range is a DomainError at the gas line, ahead of a later fault
+    text = "# a comment\n\ngas Rs=-1 z0=0.95 T0=300\npipe 9P L=10 d=0.7\n"
+    with pytest.raises(DomainError) as err:
+        netspec.parse(text)
+    assert str(err.value) == "line 3: GasProperties.R_s must be strictly positive"
 
 
 EVERY_KEY = """\
